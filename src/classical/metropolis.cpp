@@ -7,12 +7,8 @@
 
 namespace hcq::solvers {
 
-metropolis_engine::metropolis_engine(const qubo::qubo_model& q, qubo::bit_vector initial)
-    : model_(&q), bits_(std::move(initial)) {
-    if (bits_.size() != q.num_variables()) {
-        throw std::invalid_argument("metropolis_engine: bit count mismatch");
-    }
-    rebuild();
+metropolis_engine::metropolis_engine(const qubo::qubo_model& q, qubo::bit_vector initial) {
+    reset(q, initial);
 }
 
 void metropolis_engine::reset(const qubo::qubo_model& q, std::span<const std::uint8_t> initial) {

@@ -2,6 +2,7 @@
 // workspace scratch (enforced by the hot-path-alloc lint rule).
 #include "classical/simulated_annealing.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -19,59 +20,59 @@ simulated_annealing::simulated_annealing(sa_config config) : config_(config) {
     }
 }
 
-sample_set simulated_annealing::solve(const qubo::qubo_model& q, util::rng& rng) const {
+namespace {
+
+/// The one read loop of both solve forms: num_reads geometric anneals from
+/// uniform random starts, handing each read's final state and energy to
+/// `on_read` in read order.
+template <typename OnRead>
+void run_reads(const sa_config& config, const qubo::qubo_model& q, util::rng& rng,
+               solve_scratch& scratch, OnRead&& on_read) {
     const double scale = q.max_abs_coefficient();
-    const double t_hot = std::max(config_.hot_fraction * scale, 1e-12);
-    const double t_cold = std::max(config_.cold_fraction * scale, 1e-15);
+    const double t_hot = std::max(config.hot_fraction * scale, 1e-12);
+    const double t_cold = std::max(config.cold_fraction * scale, 1e-15);
     const double ratio =
-        config_.num_sweeps > 1
-            ? std::pow(t_cold / t_hot, 1.0 / static_cast<double>(config_.num_sweeps - 1))
+        config.num_sweeps > 1
+            ? std::pow(t_cold / t_hot, 1.0 / static_cast<double>(config.num_sweeps - 1))
             : 1.0;
 
-    sample_set out;
-    out.reserve(config_.num_reads);
-    for (std::size_t read = 0; read < config_.num_reads; ++read) {
-        metropolis_engine engine(q, rng.bits(q.num_variables()));
+    metropolis_engine& engine = scratch.engine;
+    for (std::size_t read = 0; read < config.num_reads; ++read) {
+        rng.bits_into(q.num_variables(), scratch.bits_a);
+        engine.reset(q, scratch.bits_a);
         double temperature = t_hot;
-        for (std::size_t s = 0; s < config_.num_sweeps; ++s) {
+        for (std::size_t s = 0; s < config.num_sweeps; ++s) {
             engine.sweep(temperature, rng);
             temperature *= ratio;
         }
-        out.add(engine.state(), engine.energy());
+        on_read(engine.state(), engine.energy());
     }
+}
+
+}  // namespace
+
+sample_set simulated_annealing::solve(const qubo::qubo_model& q, util::rng& rng) const {
+    solve_scratch scratch;
+    sample_set out;
+    out.reserve(config_.num_reads);
+    run_reads(config_, q, rng, scratch,
+              [&](const qubo::bit_vector& state, double energy) { out.add(state, energy); });
     return out;
 }
 
 double simulated_annealing::solve_best_into(const qubo::qubo_model& q, util::rng& rng,
                                             solve_scratch& scratch, qubo::bit_vector& best) const {
-    // Same reads, same sweeps, same RNG draws as solve(); only the winning
-    // state is kept.  The strict < keeps the FIRST lowest-energy read, which
-    // is exactly sample_set::best()'s tie-break.
-    const double scale = q.max_abs_coefficient();
-    const double t_hot = std::max(config_.hot_fraction * scale, 1e-12);
-    const double t_cold = std::max(config_.cold_fraction * scale, 1e-15);
-    const double ratio =
-        config_.num_sweeps > 1
-            ? std::pow(t_cold / t_hot, 1.0 / static_cast<double>(config_.num_sweeps - 1))
-            : 1.0;
-
-    metropolis_engine& engine = scratch.engine;
+    // The strict < keeps the FIRST lowest-energy read, which is exactly
+    // sample_set::best()'s tie-break.
     double best_energy = 0.0;
     bool has_best = false;
-    for (std::size_t read = 0; read < config_.num_reads; ++read) {
-        rng.bits_into(q.num_variables(), scratch.bits_a);
-        engine.reset(q, scratch.bits_a);
-        double temperature = t_hot;
-        for (std::size_t s = 0; s < config_.num_sweeps; ++s) {
-            engine.sweep(temperature, rng);
-            temperature *= ratio;
-        }
-        if (!has_best || engine.energy() < best_energy) {
+    run_reads(config_, q, rng, scratch, [&](const qubo::bit_vector& state, double energy) {
+        if (!has_best || energy < best_energy) {
             has_best = true;
-            best_energy = engine.energy();
-            best.assign(engine.state().begin(), engine.state().end());
+            best_energy = energy;
+            best.assign(state.begin(), state.end());
         }
-    }
+    });
     return best_energy;
 }
 

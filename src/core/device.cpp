@@ -33,61 +33,9 @@ std::size_t annealer_emulator::sweeps_for(const anneal_schedule& schedule) const
 qubo::bit_vector annealer_emulator::anneal_once(
     const qubo::qubo_model& q, const anneal_schedule& schedule, util::rng& rng,
     const std::optional<qubo::bit_vector>& initial) const {
-    qubo::bit_vector start;
-    if (schedule.starts_classical()) {
-        if (!initial.has_value()) {
-            throw std::invalid_argument(
-                "annealer_emulator: reverse schedule requires a programmed initial state");
-        }
-        if (initial->size() != q.num_variables()) {
-            throw std::invalid_argument("annealer_emulator: initial state size mismatch");
-        }
-        start = *initial;
-    } else {
-        start = rng.bits(q.num_variables());
-    }
-
-    const double scale = std::max(q.max_abs_coefficient(), 1e-12);
-
-    // Analog control error: the device executes a per-read perturbation of
-    // the programmed problem, not the problem itself.  (Energies reported
-    // upstream are always evaluated on the true model.)
-    const qubo::qubo_model* executed = &q;
-    qubo::qubo_model perturbed;
-    if (config_.control_noise > 0.0) {
-        perturbed = q;
-        const double sigma = config_.control_noise * scale;
-        const std::size_t n = q.num_variables();
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t j = i; j < n; ++j) {
-                if (i == j || q.coefficient(i, j) != 0.0) {
-                    perturbed.add_term(i, j, rng.normal(0.0, sigma));
-                }
-            }
-        }
-        executed = &perturbed;
-    }
-
-    solvers::metropolis_engine engine(*executed, std::move(start));
-    const double t0 = config_.temperature_scale * scale;
-    const double freeze_below = config_.freeze_fraction * scale;
-    const std::size_t sweeps = sweeps_for(schedule);
-    const double dt = schedule.duration_us() / static_cast<double>(sweeps);
-
-    for (std::size_t k = 0; k < sweeps; ++k) {
-        const double t_mid = (static_cast<double>(k) + 0.5) * dt;
-        const double s = schedule.s_at(t_mid);
-        const double temperature = t0 * config_.map.fluctuation(s);
-        if (temperature < freeze_below) continue;  // frozen register: no dynamics
-        engine.sweep(temperature, rng);
-    }
-
-    qubo::bit_vector out = engine.state();
-    if (config_.readout_flip_probability > 0.0) {
-        for (auto& bit : out) {
-            if (rng.bernoulli(config_.readout_flip_probability)) bit ^= 1U;
-        }
-    }
+    solvers::solve_scratch scratch;
+    qubo::bit_vector out;
+    anneal_once_into(q, schedule, rng, initial ? &*initial : nullptr, scratch, out);
     return out;
 }
 
@@ -96,8 +44,7 @@ void annealer_emulator::anneal_once_into(const qubo::qubo_model& q,
                                          const qubo::bit_vector* initial,
                                          solvers::solve_scratch& scratch,
                                          qubo::bit_vector& out) const {
-    // Mirrors anneal_once draw for draw; the start state, engine, and read
-    // buffer live in the caller's scratch.
+    // The start state and engine live in the caller's scratch.
     qubo::bit_vector& start = scratch.bits_a;
     if (schedule.starts_classical()) {
         if (initial == nullptr) {
@@ -114,6 +61,9 @@ void annealer_emulator::anneal_once_into(const qubo::qubo_model& q,
 
     const double scale = std::max(q.max_abs_coefficient(), 1e-12);
 
+    // Analog control error: the device executes a per-read perturbation of
+    // the programmed problem, not the problem itself.  (Energies reported
+    // upstream are always evaluated on the true model.)
     const qubo::qubo_model* executed = &q;
     qubo::qubo_model perturbed;
     if (config_.control_noise > 0.0) {
@@ -153,44 +103,55 @@ void annealer_emulator::anneal_once_into(const qubo::qubo_model& q,
     }
 }
 
+namespace {
+
+/// The one read loop of sample and sample_best_into: one fresh salt per call
+/// (so repeated calls with the same generator see different, but fully
+/// deterministic, streams), one derived stream per read, and each read's
+/// state and true-model energy handed to `on_read` in read order.
+template <typename OnRead>
+void run_reads(const annealer_emulator& device, const qubo::qubo_model& q,
+               const anneal_schedule& schedule, std::size_t num_reads, util::rng& rng,
+               const qubo::bit_vector* initial, solvers::solve_scratch& scratch,
+               OnRead&& on_read) {
+    if (num_reads == 0) throw std::invalid_argument("annealer_emulator::sample: zero reads");
+    const util::rng stream_base(rng());
+    for (std::size_t read = 0; read < num_reads; ++read) {
+        util::rng stream = stream_base.derive(read);
+        device.anneal_once_into(q, schedule, stream, initial, scratch, scratch.bits_c);
+        on_read(scratch.bits_c, q.energy(scratch.bits_c));
+    }
+}
+
+}  // namespace
+
 double annealer_emulator::sample_best_into(const qubo::qubo_model& q,
                                            const anneal_schedule& schedule,
                                            std::size_t num_reads, util::rng& rng,
                                            const qubo::bit_vector* initial,
                                            solvers::solve_scratch& scratch,
                                            qubo::bit_vector& best) const {
-    if (num_reads == 0) throw std::invalid_argument("annealer_emulator::sample: zero reads");
-    const util::rng stream_base(rng());
     double best_energy = 0.0;
     bool has_best = false;
-    for (std::size_t read = 0; read < num_reads; ++read) {
-        util::rng stream = stream_base.derive(read);
-        anneal_once_into(q, schedule, stream, initial, scratch, scratch.bits_c);
-        const double energy = q.energy(scratch.bits_c);
-        if (!has_best || energy < best_energy) {
-            has_best = true;
-            best_energy = energy;
-            best.assign(scratch.bits_c.begin(), scratch.bits_c.end());
-        }
-    }
+    run_reads(*this, q, schedule, num_reads, rng, initial, scratch,
+              [&](const qubo::bit_vector& bits, double energy) {
+                  if (!has_best || energy < best_energy) {
+                      has_best = true;
+                      best_energy = energy;
+                      best.assign(bits.begin(), bits.end());
+                  }
+              });
     return best_energy;
 }
 
 solvers::sample_set annealer_emulator::sample(
     const qubo::qubo_model& q, const anneal_schedule& schedule, std::size_t num_reads,
     util::rng& rng, const std::optional<qubo::bit_vector>& initial) const {
-    if (num_reads == 0) throw std::invalid_argument("annealer_emulator::sample: zero reads");
-    // One fresh salt per call so repeated calls with the same generator see
-    // different, but fully deterministic, streams.
-    const util::rng stream_base(rng());
+    solvers::solve_scratch scratch;
     solvers::sample_set out;
     out.reserve(num_reads);
-    for (std::size_t read = 0; read < num_reads; ++read) {
-        util::rng stream = stream_base.derive(read);
-        auto bits = anneal_once(q, schedule, stream, initial);
-        const double energy = q.energy(bits);
-        out.add(std::move(bits), energy);
-    }
+    run_reads(*this, q, schedule, num_reads, rng, initial ? &*initial : nullptr, scratch,
+              [&](const qubo::bit_vector& bits, double energy) { out.add(bits, energy); });
     return out;
 }
 

@@ -64,9 +64,10 @@ class annealer_emulator {
 public:
     explicit annealer_emulator(annealer_config config = {});
 
-    /// One anneal: executes `schedule` and returns the measured state.
-    /// `initial` is required (non-nullopt) iff the schedule starts classical
-    /// (reverse annealing); forward-start schedules ignore it.
+    /// One anneal: executes `schedule` and returns the measured state
+    /// (anneal_once_into with a fresh scratch).  `initial` is required
+    /// (non-nullopt) iff the schedule starts classical (reverse annealing);
+    /// forward-start schedules ignore it.
     [[nodiscard]] qubo::bit_vector anneal_once(
         const qubo::qubo_model& q, const anneal_schedule& schedule, util::rng& rng,
         const std::optional<qubo::bit_vector>& initial = std::nullopt) const;
@@ -78,8 +79,8 @@ public:
         const qubo::qubo_model& q, const anneal_schedule& schedule, std::size_t num_reads,
         util::rng& rng, const std::optional<qubo::bit_vector>& initial = std::nullopt) const;
 
-    /// anneal_once into a reused buffer (same RNG draws, same state);
-    /// `initial` may be nullptr for forward-start schedules.  Uses
+    /// anneal_once into a reused buffer; `initial` may be nullptr for
+    /// forward-start schedules.  Uses
     /// scratch.engine and scratch.bits_a; with the default config (no control
     /// noise) a warmed-up call performs no allocations.
     void anneal_once_into(const qubo::qubo_model& q, const anneal_schedule& schedule,
@@ -87,8 +88,8 @@ public:
                           solvers::solve_scratch& scratch, qubo::bit_vector& out) const;
 
     /// sample() keeping only the winning read, written into `best` (reused
-    /// buffer), returning its energy.  Identical RNG streams and identical
-    /// selection to sample(...).best() — the first strictly-lowest read wins.
+    /// buffer), returning its energy.  The same read loop as sample(), so
+    /// the winner is sample(...).best() — the first strictly-lowest read.
     double sample_best_into(const qubo::qubo_model& q, const anneal_schedule& schedule,
                             std::size_t num_reads, util::rng& rng,
                             const qubo::bit_vector* initial, solvers::solve_scratch& scratch,

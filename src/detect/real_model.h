@@ -69,23 +69,18 @@ struct lattice_scratch {
     std::vector<std::vector<double>> level_order;  ///< per-level SE orderings
 };
 
-/// Builds the model for one instance (QR of the embedded channel).
-[[nodiscard]] real_model make_real_model(const wireless::mimo_instance& instance);
-
-/// make_real_model through the scratch's cache: factorises only when the
-/// (channel, modulation) key changed, recomputes y_eff every call, and
-/// returns the scratch-owned model.  Bit-identical to make_real_model.
+/// Builds the model for one instance (QR of the embedded channel) through
+/// the scratch's cache: factorises only when the (channel, modulation) key
+/// changed, recomputes y_eff every call, and returns the scratch-owned model.
 const real_model& make_real_model_into(const wireless::mimo_instance& instance,
                                        lattice_scratch& scratch);
 
-/// Converts per-dimension amplitudes (model ordering: all I components, then
-/// all Q components) into a full detection_result for `instance`.
-[[nodiscard]] detection_result assemble_result(const wireless::mimo_instance& instance,
-                                               const std::vector<double>& amplitudes,
-                                               std::size_t nodes_visited);
+/// make_real_model_into with a fresh scratch, returning a copy of the model.
+[[nodiscard]] real_model make_real_model(const wireless::mimo_instance& instance);
 
-/// assemble_result into a reused result (bit-identical fields); the residual
-/// buffer serves the ml_cost evaluation.
+/// Converts per-dimension amplitudes (model ordering: all I components, then
+/// all Q components) into a full detection_result for `instance`, reusing
+/// `out`; the residual buffer serves the ml_cost evaluation.
 void assemble_result_into(const wireless::mimo_instance& instance,
                           const std::vector<double>& amplitudes, std::size_t nodes_visited,
                           linalg::cvec& residual_scratch, detection_result& out);

@@ -1,3 +1,5 @@
+// hcq-hot-path: steady-state code in this file must not allocate — reuse
+// workspace scratch (enforced by the hot-path-alloc lint rule).
 #include "detect/sic.h"
 
 #include <algorithm>
@@ -9,13 +11,6 @@
 #include "util/timer.h"
 
 namespace hcq::detect {
-
-detection_result sic_detector::detect(const wireless::mimo_instance& instance) const {
-    detect_scratch scratch;
-    detection_result result;
-    detect_into(instance, scratch, result);
-    return result;
-}
 
 void sic_detector::detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
                                detection_result& out) const {

@@ -1,3 +1,5 @@
+// hcq-hot-path: steady-state code in this file must not allocate — reuse
+// workspace scratch (enforced by the hot-path-alloc lint rule).
 #include "detect/sphere.h"
 
 #include <algorithm>
@@ -19,6 +21,7 @@ struct search_state {
     const real_model* model = nullptr;
     std::vector<double>* chosen = nullptr;  // amplitude per dimension
     std::vector<double>* best = nullptr;    // best leaf found
+    // hcq-lint: allow(hot-path-alloc) a pointer to the scratch's per-level buffers, owns nothing
     std::vector<std::vector<double>>* level_order = nullptr;
     double best_cost = std::numeric_limits<double>::infinity();
     std::size_t nodes = 0;
@@ -68,13 +71,6 @@ void descend(search_state& state, std::size_t level, double partial_cost) {
 
 sphere_detector::sphere_detector(double initial_radius_sq)
     : initial_radius_sq_(initial_radius_sq) {}
-
-detection_result sphere_detector::detect(const wireless::mimo_instance& instance) const {
-    detect_scratch scratch;
-    detection_result result;
-    detect_into(instance, scratch, result);
-    return result;
-}
 
 void sphere_detector::detect_into(const wireless::mimo_instance& instance,
                                   detect_scratch& scratch, detection_result& out) const {

@@ -7,19 +7,14 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
-#include <thread>
-#include <unordered_map>  // hcq-lint: allow(unordered-container) pure-lookup thread registry
 
-#include "fec/codec.h"
+#include "link/retx_chain.h"
 #include "metrics/stats.h"
 #include "paths/registry.h"
 #include "paths/workspace.h"
-#include "util/sync.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 #include "wireless/mimo.h"
-#include "wireless/soft.h"
 
 namespace hcq::link {
 namespace {
@@ -29,11 +24,8 @@ namespace {
 // values live in link_sim.h (stream_domains) because the serving front end
 // derives from the same domains to reproduce served batches bit-for-bit.
 //
-// ARQ retransmission streams: attempt r of frame u draws from
-// derive(arq_*_domain).derive(u [* num_paths + p]).derive(r) — globally
-// indexed, so ARQ counters inherit the thread-count / stream-block
-// invariance, and disjoint from the open-loop streams, so enabling
-// ARQ never perturbs the golden open-loop statistics.
+// ARQ retransmission streams (arq_synthesis / arq_solve) are indexed by
+// (use, attempt) globally; see link/retx_chain.h.
 //
 // Correlated-fading tap parameters (wireless/channel_spec.h) freeze from the
 // fading stream — disjoint from every domain above, so configuring a channel
@@ -45,14 +37,6 @@ constexpr std::uint64_t arq_synth_domain = stream_domains::arq_synthesis;
 constexpr std::uint64_t arq_solve_domain = stream_domains::arq_solve;
 constexpr std::uint64_t fading_stream_domain = stream_domains::fading;
 constexpr std::uint64_t fec_stream_domain = stream_domains::fec;
-
-// An ARQ retransmission goes back on the air one channel use after the
-// attempt it repeats: attempt r of frame u sees the fading process at
-// t = u + r * retx_lag_uses.  At low Doppler (coherence time >> 1 use) a
-// frame that failed in a deep fade therefore RETRIES inside the same fade —
-// the retransmission-concentration behaviour the acceptance scenario
-// measures — while at high Doppler the retry sees a fresh channel.
-constexpr double retx_lag_uses = 1.0;
 
 void validate(const link_config& config) {
     if (config.num_uses == 0) throw std::invalid_argument("link: zero channel uses");
@@ -114,98 +98,28 @@ pipeline::simulation_result replay_traces(const path_report& path, const link_co
                               setup.options);
 }
 
-/// Per-(use, path) outcome of the streaming ARQ chain, filled by the pool
-/// workers and folded serially.  Memory is O(stream_block x paths x
-/// max_retx) — constant in num_uses.
-struct arq_cell {
-    std::size_t attempts = 1;   ///< transmissions incl. retransmissions
-    std::size_t wrong = 0;      ///< attempts with wrong detected bits
-    bool first_ok = true;
-    bool final_ok = true;
-    std::vector<double> retx_service_us;  ///< measured service per retransmission
-};
-
-/// Per-(frame, path) outcome of the coded link — the attempt-0 decode plus
-/// the hybrid-ARQ chain when engaged — filled by the pool workers and folded
-/// serially.  Memory is O(frames-per-window x paths), constant in num_uses.
-struct fec_cell {
-    qubo::bit_vector decoded0;  ///< attempt-0 decoded information bits
-    std::size_t attempts = 1;   ///< transmissions incl. retransmissions
-    std::size_t wrong = 0;      ///< attempts whose decode came out wrong
-    bool first_ok = true;
-    bool final_ok = true;
-    std::vector<double> retx_service_us;  ///< measured service per retransmission
-};
-
-/// Per-worker FEC state: the codec (trellis tables + decode scratch — NOT
-/// thread-safe) plus the frame-assembly buffers.  Handed out per thread by
-/// codec_store, mirroring paths::workspace_store: acquire once, then work
-/// lock-free.  Holds no statistic — which worker decodes a frame never
-/// changes the (deterministic) decode.
-struct fec_worker {
-    explicit fec_worker(const fec::code_spec& spec) : codec(spec) {}
-    fec::codec codec;
-    std::vector<std::uint8_t> use_bits;   ///< one use's zero-padded coded bits
-    std::vector<double> frame_llrs;       ///< assembled attempt-0 frame LLRs
-    std::vector<double> attempt_llrs;     ///< one retransmission's frame LLRs
-    std::vector<double> combined_llrs;    ///< chase-combining accumulator
-    std::vector<std::uint8_t> decoded;    ///< retransmission decode scratch
-};
-
-std::uint64_t next_codec_store_id() {
-    static std::atomic<std::uint64_t> counter{0};
-    return ++counter;
-}
-
-/// One fec_worker per thread, created lazily on first request (same shape as
-/// paths::workspace_store; see its header for the determinism argument).
-class codec_store {
-public:
-    explicit codec_store(const fec::code_spec& spec)
-        : id_(next_codec_store_id()), spec_(spec) {}
-    codec_store(const codec_store&) = delete;
-    codec_store& operator=(const codec_store&) = delete;
-
-    [[nodiscard]] fec_worker& local() HCQ_EXCLUDES(mutex_) {
-        thread_local std::uint64_t cached_id = 0;
-        thread_local fec_worker* cached = nullptr;
-        if (cached_id == id_ && cached != nullptr) return *cached;
-        const util::mutex_lock lock(mutex_);
-        std::unique_ptr<fec_worker>& slot = by_thread_[std::this_thread::get_id()];
-        if (slot == nullptr) slot = std::make_unique<fec_worker>(spec_);
-        cached_id = id_;
-        cached = slot.get();
-        return *slot;
+/// Everything one pool worker reuses across windows: its detection
+/// workspace, its retransmission chain with both decode steps, the
+/// zero-padded coded bits of one use, and the solve streams and contexts of
+/// one detection chunk.  Holds no statistic: which worker runs a cell never
+/// changes what the cell computes.
+struct link_worker {
+    link_worker(const retx_setup& setup, const link_config& config, std::size_t bits_per_use)
+        : chain(setup) {
+        if (config.fec) {
+            llr.emplace(*config.fec,
+                        config.arq ? config.arq->combining : arq::combining_mode::plain,
+                        bits_per_use);
+        }
     }
-
-private:
-    const std::uint64_t id_;  ///< globally unique, never reused
-    const fec::code_spec spec_;
-    util::mutex mutex_;
-    // hcq-lint: allow(unordered-container) pure per-thread lookup, never iterated
-    std::unordered_map<std::thread::id, std::unique_ptr<fec_worker>> by_thread_
-        HCQ_GUARDED_BY(mutex_);
+    paths::workspace ws;
+    retx_chain chain;
+    bits_decoder bits;
+    std::optional<llr_decoder> llr;  ///< coded link only
+    std::vector<std::uint8_t> use_bits;
+    std::vector<util::rng> rngs;
+    std::vector<paths::path_context> ctxs;
 };
-
-/// Coded bits of use `j` of a frame, zero-padded to a whole channel use (the
-/// final use of a frame may carry fewer than bits_per_use coded bits).
-void pad_use_bits(const qubo::bit_vector& coded, std::size_t j, std::size_t bits_per_use,
-                  std::vector<std::uint8_t>& out) {
-    out.assign(bits_per_use, 0);
-    const std::size_t lo = j * bits_per_use;
-    const std::size_t n = std::min(bits_per_use, coded.size() - lo);
-    std::copy(coded.begin() + static_cast<std::ptrdiff_t>(lo),
-              coded.begin() + static_cast<std::ptrdiff_t>(lo + n), out.begin());
-}
-
-/// Copies the non-padding prefix of one use's LLRs into the frame vector.
-void gather_use_llrs(const std::vector<double>& llrs, std::size_t j, std::size_t bits_per_use,
-                     std::size_t coded_bits, std::vector<double>& frame) {
-    const std::size_t lo = j * bits_per_use;
-    const std::size_t n = std::min(bits_per_use, coded_bits - lo);
-    std::copy(llrs.begin(), llrs.begin() + static_cast<std::ptrdiff_t>(n),
-              frame.begin() + static_cast<std::ptrdiff_t>(lo));
-}
 
 }  // namespace
 
@@ -285,14 +199,12 @@ link_report run_link_simulation(const link_config& config) {
     report.paths.resize(num_paths);
     std::vector<std::vector<std::string>> solve_stages(num_paths);
     std::vector<std::size_t> first_solve_stage(num_paths);
-    std::vector<std::uint8_t> path_needs_qubo(num_paths, 0);
     for (std::size_t p = 0; p < num_paths; ++p) {
         path_report& path = report.paths[p];
         path.kind = paths[p]->spec().kind;
         path.name = paths[p]->name();
         path.spec = canonical[p];
         path.service = stage_trace("service", sample_stride);
-        path_needs_qubo[p] = paths[p]->needs_qubo() ? 1 : 0;
 
         solve_stages[p] = paths[p]->stage_names();
         const auto solve_servers = paths[p]->stage_servers();
@@ -322,8 +234,6 @@ link_report run_link_simulation(const link_config& config) {
 
     const util::rng synth_base = util::rng(config.seed).derive(synth_stream_domain);
     const util::rng solve_base = util::rng(config.seed).derive(solve_stream_domain);
-    const util::rng arq_synth_base = util::rng(config.seed).derive(arq_synth_domain);
-    const util::rng arq_solve_base = util::rng(config.seed).derive(arq_solve_domain);
     const util::rng fec_base = util::rng(config.seed).derive(fec_stream_domain);
 
     // Realistic-channel spec resolution: one frozen channel realisation per
@@ -343,7 +253,8 @@ link_report run_link_simulation(const link_config& config) {
 
     // Coded-link geometry.  One coded frame (rows x cols interleaved bits)
     // spans ceil(coded_bits / bits_per_use) consecutive channel uses with the
-    // final use zero-padded; the stream must carry whole frames.
+    // final use zero-padded; the stream must carry whole frames.  The
+    // uncoded link is the one-use frame.
     const bool coded = config.fec.has_value();
     const std::size_t bits_per_use = config.num_users * wireless::bits_per_symbol(config.mod);
     const std::size_t coded_bits = coded ? config.fec->coded_bits() : 0;
@@ -363,8 +274,8 @@ link_report run_link_simulation(const link_config& config) {
     // on: the frame's info bits are drawn, encoded, and spread over its
     // uses), (B) run every (path, use) detection cell batched through
     // detection_path::run_block — plus the explicit soft_output call when
-    // FEC is on — and (C) run the ARQ retransmission chains (per use when
-    // uncoded; per coded frame, with chase combining, when FEC is on).
+    // FEC is on — and (C) decode every (frame, path) and run its
+    // retransmission chain (link/retx_chain.h) when FEC or ARQ is on.
     // Workers fill disjoint slots in parallel, then the window is folded
     // serially in use order into the constant-size aggregates above.  All
     // buffers below persist across windows, so after the first window the
@@ -378,31 +289,18 @@ link_report run_link_simulation(const link_config& config) {
         // affects no statistic (the invariance tests cover coded runs).
         block = std::max(uses_per_frame, block / uses_per_frame * uses_per_frame);
     }
+    const bool chained = coded || config.arq.has_value();
+    const std::size_t frames_per_block = block / uses_per_frame;
     std::vector<wireless::mimo_instance> instances(block);
     std::vector<detect::ml_qubo> mqs(needs_qubo ? block : 0);
-    std::vector<qubo::bit_vector> tx_bits(block);
     std::vector<double> synth_us(block, 0.0);
     std::vector<double> reduce_us(block, 0.0);
     std::vector<paths::path_result> cells(num_paths * block);  // path-major: [p * block + i]
-    std::vector<arq_cell> arq_cells(config.arq && !coded ? num_paths * block : 0);
-
-    // Coded-frame window state: per-frame info/coded bits (shared by every
-    // path) and the path-major per-frame outcome cells.
-    const std::size_t frames_per_block = coded ? block / uses_per_frame : 0;
-    std::vector<qubo::bit_vector> frame_info(frames_per_block);
-    std::vector<qubo::bit_vector> frame_coded(frames_per_block);
-    std::vector<fec_cell> fec_cells(num_paths * frames_per_block);
-    std::optional<codec_store> codecs;
-    if (coded) {
-        codecs.emplace(*config.fec);
-        (void)codecs->local();  // eager main-thread construction surfaces spec errors here
-    }
-
-    // One scratch arena per worker thread (paths/workspace.h), warm across
-    // windows.  With config.workspaces false every context instead carries
-    // ws == nullptr and the paths take their allocate-per-call branch —
-    // statistics are bit-identical either way (workspace_test.cpp).
-    paths::workspace_store workspaces;
+    // Per-frame info/coded bits of the coded link (shared by every path) and
+    // the path-major per-frame outcome cells of phase C.
+    std::vector<qubo::bit_vector> frame_info(coded ? frames_per_block : 0);
+    std::vector<qubo::bit_vector> frame_coded(coded ? frames_per_block : 0);
+    std::vector<frame_outcome> frame_cells(chained ? num_paths * frames_per_block : 0);
 
     const wireless::mimo_config mimo = [&] {
         wireless::mimo_config m;
@@ -416,15 +314,26 @@ link_report run_link_simulation(const link_config& config) {
                                                                   snr_db);
         return m;
     }();
+    const retx_setup retx{.mimo = mimo,
+                          .process = process.get(),
+                          .csi_est_err = csi_est_err,
+                          .synth_base = util::rng(config.seed).derive(arq_synth_domain),
+                          .solve_base = util::rng(config.seed).derive(arq_solve_domain),
+                          .num_paths = num_paths,
+                          .uses_per_frame = uses_per_frame,
+                          .arq = config.arq};
 
     // Per-path length of the error run currently open in the serial fold —
     // carried across windows so burst statistics are stream_block-invariant.
     std::vector<std::uint64_t> error_run(num_paths, 0);
 
-    // One pool for the whole stream; num_threads == 1 degrades to a serial
-    // loop like util::pool_for_each.
+    // One pool for the whole stream, and one link_worker per pool worker (a
+    // single one when num_threads == 1 degrades to a serial loop), built
+    // here on the calling thread so spec errors surface before any work.
     std::optional<util::thread_pool> pool;
     if (config.num_threads != 1 && block > 1) pool.emplace(config.num_threads);
+    std::vector<std::unique_ptr<link_worker>> workers(pool ? pool->size() : 1);
+    for (auto& worker : workers) worker = std::make_unique<link_worker>(retx, config, bits_per_use);
 
     // Batched detection granularity: run_block amortises per-call overhead
     // over a chunk of uses while leaving enough tasks per window for the
@@ -432,26 +341,40 @@ link_report run_link_simulation(const link_config& config) {
     // globally-indexed stream, so the chunk size affects no statistic.
     constexpr std::size_t run_chunk = 64;
 
+    // Runs task(worker, i) for every i in [0, count).  Each pool worker
+    // claims contiguous index ranges off a shared counter — about eight
+    // ranges per worker, so uneven cells (an ARQ-heavy stretch) still
+    // balance — and runs them on its own link_worker.  Pure scheduling:
+    // every slot is indexed globally, so no statistic depends on it.
     const auto run_all = [&](std::size_t count, const auto& task) {
         if (!pool || count < 2) {
-            for (std::size_t i = 0; i < count; ++i) task(i);
-        } else {
-            for (std::size_t i = 0; i < count; ++i) {
-                pool->submit([&task, i] { task(i); });
-            }
-            pool->wait_idle();
+            for (std::size_t i = 0; i < count; ++i) task(*workers[0], i);
+            return;
         }
+        const std::size_t range = std::max<std::size_t>(1, count / (8 * workers.size()));
+        std::atomic<std::size_t> next{0};
+        for (auto& worker : workers) {
+            pool->submit([&task, &next, count, range, w = worker.get()] {
+                for (std::size_t lo = next.fetch_add(range); lo < count;
+                     lo = next.fetch_add(range)) {
+                    const std::size_t hi = std::min(count, lo + range);
+                    for (std::size_t i = lo; i < hi; ++i) task(*w, i);
+                }
+            });
+        }
+        pool->wait_idle();
     };
 
     for (std::size_t base = 0; base < config.num_uses; base += block) {
         const std::size_t window = std::min(block, config.num_uses - base);
+        const std::size_t window_frames = window / uses_per_frame;
         // Phase A: synthesise the channel uses (channel draw + modulation)
         // and build the shared QUBO reductions (QuAMax transform)
         // block-at-a-time.  The reduction is shared by the QUBO-based paths
         // and skipped — trace stays zero — when only conventional detectors
         // are configured.
-        const std::size_t window_frames = coded ? window / uses_per_frame : 0;
-        const auto synth_use = [&](std::size_t i, std::span<const std::uint8_t> use_bits) {
+        const auto synth_use = [&](link_worker& w, std::size_t i,
+                                   std::span<const std::uint8_t> use_bits) {
             const std::size_t u = base + i;
             util::rng synth_rng = synth_base.derive(u);
             wireless::mimo_instance& instance = instances[i];
@@ -464,40 +387,35 @@ link_report run_link_simulation(const link_config& config) {
                 wireless::synthesize_coded_into(synth_rng, mimo, use_bits, instance);
             }
             synth_us[i] = synth_clock.elapsed_us();
-            tx_bits[i] = instance.tx_bits;
 
             reduce_us[i] = 0.0;
             if (needs_qubo) {
                 util::timer reduce_clock;
-                if (config.workspaces) {
-                    detect::ml_to_qubo_into(instance, workspaces.local().detect.qubo, mqs[i]);
-                } else {
-                    mqs[i] = detect::ml_to_qubo(instance);
-                }
+                detect::ml_to_qubo_into(instance, w.ws.detect.qubo, mqs[i]);
                 reduce_us[i] = reduce_clock.elapsed_us();
             }
         };
-        const auto synth_cell = [&](std::size_t i) { synth_use(i, {}); };
-        // Coded Phase A works frame-at-a-time: draw the frame's information
-        // bits from the dedicated fec stream (indexed by GLOBAL frame),
-        // encode + interleave once, then synthesise its uses with the coded
-        // bits overriding the (still consumed) uniform tx-bit draws.
-        const auto synth_frame = [&](std::size_t fi) {
-            fec_worker& fw = codecs->local();
+        // Phase A works frame-at-a-time.  A coded frame draws its
+        // information bits from the dedicated fec stream (indexed by GLOBAL
+        // frame), encodes + interleaves them once, then synthesises its uses
+        // with the coded bits overriding the (still consumed) uniform tx-bit
+        // draws; an uncoded frame is one plain use.
+        const auto synth_frame = [&](link_worker& w, std::size_t fi) {
+            if (!coded) {
+                synth_use(w, fi, {});
+                return;
+            }
+            fec::codec& codec = w.llr->codec();
             const std::size_t f = base / uses_per_frame + fi;  // global frame index
             util::rng info_rng = fec_base.derive(f);
-            info_rng.bits_into(fw.codec.info_bits(), frame_info[fi]);
-            fw.codec.encode_frame(frame_info[fi], frame_coded[fi]);
+            info_rng.bits_into(codec.info_bits(), frame_info[fi]);
+            codec.encode_frame(frame_info[fi], frame_coded[fi]);
             for (std::size_t j = 0; j < uses_per_frame; ++j) {
-                pad_use_bits(frame_coded[fi], j, bits_per_use, fw.use_bits);
-                synth_use(fi * uses_per_frame + j, fw.use_bits);
+                pad_use_bits(frame_coded[fi], j, bits_per_use, w.use_bits);
+                synth_use(w, fi * uses_per_frame + j, w.use_bits);
             }
         };
-        if (coded) {
-            run_all(window_frames, synth_frame);
-        } else {
-            run_all(window, synth_cell);
-        }
+        run_all(window_frames, synth_frame);
 
         // Phase B: every configured path detects every use, batched through
         // run_block in chunks.  Each (use, path) cell draws from its own
@@ -505,238 +423,60 @@ link_report run_link_simulation(const link_config& config) {
         // not depend on the window size, the chunking, or which worker —
         // and hence which workspace — runs a given chunk.
         const std::size_t chunks_per_path = (window + run_chunk - 1) / run_chunk;
-        const auto detect_chunk = [&](std::size_t task) {
+        const auto detect_chunk = [&](link_worker& w, std::size_t task) {
             const std::size_t p = task / chunks_per_path;
             const std::size_t c0 = (task % chunks_per_path) * run_chunk;
             const std::size_t n = std::min(run_chunk, window - c0);
-            paths::workspace* const ws = config.workspaces ? &workspaces.local() : nullptr;
-            std::vector<util::rng> rngs;
-            rngs.reserve(n);
+            w.rngs.resize(n);
+            w.ctxs.clear();  // keeps capacity across chunks
             for (std::size_t j = 0; j < n; ++j) {
-                const std::size_t u = base + c0 + j;
-                rngs.push_back(solve_base.derive(u * num_paths + p));
-            }
-            std::vector<paths::path_context> ctxs;
-            ctxs.reserve(n);
-            for (std::size_t j = 0; j < n; ++j) {
-                ctxs.push_back({instances[c0 + j], needs_qubo ? &mqs[c0 + j] : nullptr,
-                                rngs[j], ws});
+                w.rngs[j] = solve_base.derive((base + c0 + j) * num_paths + p);
+                w.ctxs.push_back({instances[c0 + j], needs_qubo ? &mqs[c0 + j] : nullptr,
+                                  w.rngs[j], &w.ws});
             }
             const auto out = std::span<paths::path_result>(cells).subspan(p * block + c0, n);
-            paths[p]->run_block(ctxs, out);
+            paths[p]->run_block(w.ctxs, out);
             if (coded) {
                 // The coded link needs soft information: the explicit opt-in
                 // second call of the path API, on the same contexts the hard
                 // run saw.  Deterministic and workspace-independent by the
                 // soft_output contract, so LLRs inherit the invariances.
-                for (std::size_t j = 0; j < n; ++j) paths[p]->soft_output(ctxs[j], out[j]);
+                for (std::size_t j = 0; j < n; ++j) paths[p]->soft_output(w.ctxs[j], out[j]);
             }
         };
         run_all(num_paths * chunks_per_path, detect_chunk);
 
-        if (coded) {
-            // Phase C' (coded link): decode every (frame, path) cell and,
-            // when ARQ is engaged, run the hybrid-ARQ chain at FRAME
-            // granularity.  A retransmission re-sends the SAME coded bits on
-            // fresh channel uses — synthesis streams indexed by the global
-            // (use, attempt), solve streams by (use * num_paths + p,
-            // attempt), exactly the uncoded ARQ scheme — and the decode
-            // combines attempts per arq_config::combining: chase accumulates
-            // clamped LLRs across attempts, plain decodes each attempt
-            // alone.  Everything here is deterministic (decode is a pure
-            // function of the LLRs; the combining order is the fixed attempt
-            // order), so coded counters inherit the thread-count /
-            // stream-block / workspace invariances.  The retransmitted use
-            // at (use, attempt) is shared across paths, memoised like the
-            // uncoded phase C.
-            const auto fec_frame = [&](std::size_t fi) {
-                fec_worker& fw = codecs->local();
-                paths::workspace* const ws = config.workspaces ? &workspaces.local() : nullptr;
-                const std::size_t i0 = fi * uses_per_frame;
-                const std::size_t max_retx = config.arq ? config.arq->max_retx : 0;
-                struct retx_attempt {
-                    wireless::mimo_instance instance;
-                    detect::ml_qubo mq;
-                    double reduce_us = 0.0;
-                    bool reduced = false;
-                };
-                std::vector<std::optional<retx_attempt>> shared(uses_per_frame * max_retx);
-                const auto attempt_for = [&](std::size_t j, std::size_t attempt,
-                                             bool needs_reduction) -> retx_attempt& {
-                    auto& slot = shared[j * max_retx + (attempt - 1)];
-                    if (!slot) {
-                        const std::size_t u = base + i0 + j;
-                        util::rng retx_synth = arq_synth_base.derive(u).derive(attempt);
-                        slot.emplace();
-                        pad_use_bits(frame_coded[fi], j, bits_per_use, fw.use_bits);
-                        if (process) {
-                            wireless::synthesize_at_coded_into(
-                                retx_synth, mimo, *process,
-                                static_cast<double>(u) +
-                                    static_cast<double>(attempt) * retx_lag_uses,
-                                csi_est_err, fw.use_bits, slot->instance);
-                        } else {
-                            wireless::synthesize_coded_into(retx_synth, mimo, fw.use_bits,
-                                                            slot->instance);
-                        }
-                    }
-                    if (needs_reduction && !slot->reduced) {
-                        util::timer reduce_clock;
-                        if (ws != nullptr) {
-                            detect::ml_to_qubo_into(slot->instance, ws->detect.qubo, slot->mq);
-                        } else {
-                            slot->mq = detect::ml_to_qubo(slot->instance);
-                        }
-                        slot->reduce_us = reduce_clock.elapsed_us();
-                        slot->reduced = true;
-                    }
-                    return *slot;
-                };
-                for (std::size_t p = 0; p < num_paths; ++p) {
-                    fec_cell& fc = fec_cells[p * frames_per_block + fi];
-                    // Attempt 0: assemble the window cells' per-use LLRs
-                    // (dropping each use's zero-padding tail) and decode.
-                    fw.frame_llrs.resize(coded_bits);
-                    for (std::size_t j = 0; j < uses_per_frame; ++j) {
-                        gather_use_llrs(cells[p * block + i0 + j].llrs, j, bits_per_use,
-                                        coded_bits, fw.frame_llrs);
-                    }
-                    fw.codec.decode_frame(fw.frame_llrs, fc.decoded0);
-                    bool ok = fc.decoded0 == frame_info[fi];
-                    fc.first_ok = ok;
-                    fc.wrong = ok ? 0 : 1;
-                    fc.retx_service_us.clear();  // keeps capacity across windows
-                    std::size_t attempt = 0;
-                    if (config.arq) {
-                        const bool chase =
-                            config.arq->combining == arq::combining_mode::chase;
-                        if (chase) fw.combined_llrs = fw.frame_llrs;
-                        const bool wants_qubo = path_needs_qubo[p] != 0;
-                        while (arq::needs_retx(*config.arq, ok, attempt)) {
-                            ++attempt;
-                            double service_sum = 0.0;
-                            fw.attempt_llrs.resize(coded_bits);
-                            for (std::size_t j = 0; j < uses_per_frame; ++j) {
-                                const std::size_t u = base + i0 + j;
-                                retx_attempt& retx = attempt_for(j, attempt, wants_qubo);
-                                if (wants_qubo) service_sum += retx.reduce_us;
-                                util::rng retx_solve =
-                                    arq_solve_base.derive(u * num_paths + p).derive(attempt);
-                                const paths::path_context retx_ctx{
-                                    retx.instance, wants_qubo ? &retx.mq : nullptr,
-                                    retx_solve, ws};
-                                paths::path_result result = paths[p]->run(retx_ctx);
-                                paths[p]->soft_output(retx_ctx, result);
-                                for (const auto& st : result.stages) {
-                                    service_sum += st.service_us;
-                                }
-                                gather_use_llrs(result.llrs, j, bits_per_use, coded_bits,
-                                                fw.attempt_llrs);
-                            }
-                            if (chase) {
-                                wireless::accumulate_llrs(fw.attempt_llrs, fw.combined_llrs);
-                                fw.codec.decode_frame(fw.combined_llrs, fw.decoded);
-                            } else {
-                                fw.codec.decode_frame(fw.attempt_llrs, fw.decoded);
-                            }
-                            ok = fw.decoded == frame_info[fi];
-                            if (!ok) ++fc.wrong;
-                            fc.retx_service_us.push_back(service_sum);
-                        }
-                    }
-                    fc.attempts = attempt + 1;
-                    fc.final_ok = ok;
+        // Phase C (FEC or ARQ): decode every (frame, path) — a bits
+        // comparison uncoded, a soft-Viterbi decode coded — and run its
+        // retransmission chain.  The chain memoises each retransmitted use
+        // across the frame's paths, so one task runs all paths of a frame.
+        const auto chain_frame = [&](link_worker& w, std::size_t fi) {
+            const std::size_t i0 = fi * uses_per_frame;
+            w.chain.begin_frame(base + i0, coded ? std::span<const std::uint8_t>(frame_coded[fi])
+                                                 : std::span<const std::uint8_t>());
+            const auto frame_uses =
+                std::span<const wireless::mimo_instance>(instances).subspan(i0, uses_per_frame);
+            for (std::size_t p = 0; p < num_paths; ++p) {
+                frame_outcome& outcome = frame_cells[p * frames_per_block + fi];
+                frame_decoder* decoder = &w.bits;
+                if (coded) {
+                    w.llr->begin(frame_info[fi], outcome.decoded0);
+                    decoder = &*w.llr;
                 }
-            };
-            run_all(window_frames, fec_frame);
-        } else if (config.arq) {
-            // Phase C (ARQ only): run each path's retransmission chain.  A
-            // retransmission is a REAL re-solve on a fresh channel use; its
-            // RNG streams are indexed by (frame, attempt) globally, so the
-            // resulting counters are invariant to threads and window size.
-            // The retransmitted channel use at (frame, attempt) is shared
-            // across paths (like the open-loop use), so synthesis and the
-            // QUBO reduction are memoised per attempt rather than redone by
-            // every retransmitting path; each path's service still counts
-            // the reduction time its own pipeline would spend.
-            const auto arq_use = [&](std::size_t i) {
-                const std::size_t u = base + i;
-                paths::workspace* const ws = config.workspaces ? &workspaces.local() : nullptr;
-                struct retx_attempt {
-                    wireless::mimo_instance instance;
-                    detect::ml_qubo mq;
-                    double reduce_us = 0.0;
-                    bool reduced = false;
-                };
-                std::vector<std::optional<retx_attempt>> shared(config.arq->max_retx);
-                const auto attempt_for = [&](std::size_t attempt,
-                                             bool needs_reduction) -> retx_attempt& {
-                    auto& slot = shared[attempt - 1];
-                    if (!slot) {
-                        util::rng retx_synth = arq_synth_base.derive(u).derive(attempt);
-                        slot.emplace();
-                        // Under correlated fading the retransmission sees the
-                        // SAME frozen process one lag later per attempt; its
-                        // noise/bit draws still come from the (frame, attempt)
-                        // derived stream.
-                        slot->instance =
-                            process
-                                ? wireless::synthesize_at(
-                                      retx_synth, mimo, *process,
-                                      static_cast<double>(u) +
-                                          static_cast<double>(attempt) * retx_lag_uses,
-                                      csi_est_err)
-                                : wireless::synthesize(retx_synth, mimo);
-                    }
-                    if (needs_reduction && !slot->reduced) {
-                        util::timer reduce_clock;
-                        if (ws != nullptr) {
-                            detect::ml_to_qubo_into(slot->instance, ws->detect.qubo, slot->mq);
-                        } else {
-                            slot->mq = detect::ml_to_qubo(slot->instance);
-                        }
-                        slot->reduce_us = reduce_clock.elapsed_us();
-                        slot->reduced = true;
-                    }
-                    return *slot;
-                };
-                for (std::size_t p = 0; p < num_paths; ++p) {
-                    arq_cell& ac = arq_cells[p * block + i];
-                    ac.attempts = 1;
-                    ac.wrong = 0;
-                    ac.final_ok = true;
-                    ac.retx_service_us.clear();  // keeps capacity across windows
-                    bool ok = cells[p * block + i].bits == tx_bits[i];
-                    ac.first_ok = ok;
-                    if (!ok) ++ac.wrong;
-                    std::size_t attempt = 0;
-                    while (arq::needs_retx(*config.arq, ok, attempt)) {
-                        ++attempt;
-                        const bool wants_qubo = path_needs_qubo[p] != 0;
-                        retx_attempt& retx = attempt_for(attempt, wants_qubo);
-                        double service_sum = wants_qubo ? retx.reduce_us : 0.0;
-                        util::rng retx_solve =
-                            arq_solve_base.derive(u * num_paths + p).derive(attempt);
-                        const paths::path_context retx_ctx{
-                            retx.instance, wants_qubo ? &retx.mq : nullptr, retx_solve, ws};
-                        const auto result = paths[p]->run(retx_ctx);
-                        for (const auto& st : result.stages) service_sum += st.service_us;
-                        ok = result.bits == retx.instance.tx_bits;
-                        if (!ok) ++ac.wrong;
-                        ac.retx_service_us.push_back(service_sum);
-                    }
-                    ac.attempts = attempt + 1;
-                    ac.final_ok = ok;
-                }
-            };
-            run_all(window, arq_use);
-        }
+                w.chain.run(*paths[p], p, frame_uses,
+                            std::span<const paths::path_result>(cells).subspan(p * block + i0,
+                                                                                uses_per_frame),
+                            *decoder, w.ws, outcome);
+            }
+        };
+        if (chained) run_all(window_frames, chain_frame);
 
         // Serial aggregation in use order: the merged statistics never
         // depend on the scheduling order above.
         for (std::size_t i = 0; i < window; ++i) {
             report.synthesis.add(synth_us[i]);
             report.reduction.add(reduce_us[i]);
+            const qubo::bit_vector& tx_bits = instances[i].tx_bits;
             for (std::size_t p = 0; p < num_paths; ++p) {
                 path_report& path = report.paths[p];
                 const paths::path_result& cell = cells[p * block + i];
@@ -746,8 +486,8 @@ link_report run_link_simulation(const link_config& config) {
                                            " stage timings but declared " +
                                            std::to_string(solve_stages[p].size()));
                 }
-                path.ber.add_frame(tx_bits[i], cell.bits);
-                if (cell.bits == tx_bits[i]) {
+                path.ber.add_frame(tx_bits, cell.bits);
+                if (cell.bits == tx_bits) {
                     ++path.exact_frames;
                     error_run[p] = 0;
                 } else {
@@ -760,7 +500,7 @@ link_report run_link_simulation(const link_config& config) {
 
                 path.stages[0].add(synth_us[i]);
                 double service_sum = 0.0;
-                if (path_needs_qubo[p] != 0) {  // has the shared qubo stage
+                if (first_solve_stage[p] == 2) {  // has the shared qubo stage
                     path.stages[1].add(reduce_us[i]);
                     service_sum += reduce_us[i];
                 }
@@ -769,31 +509,24 @@ link_report run_link_simulation(const link_config& config) {
                     service_sum += cell.stages[s].service_us;
                 }
                 path.service.add(service_sum);
-
-                if (config.arq && !coded) {
-                    const arq_cell& ac = arq_cells[p * block + i];
-                    path.arq->counters.add_frame(ac.attempts, ac.wrong, ac.first_ok,
-                                                 ac.final_ok);
-                    for (const double s_us : ac.retx_service_us) {
-                        path.arq->retx_service.add(s_us);
-                    }
-                }
             }
         }
-        // Coded-frame fold, serial in frame order: attempt-0 decode
-        // statistics and — when FEC + ARQ run together — the hybrid-ARQ
-        // counters at frame granularity.
-        for (std::size_t fi = 0; fi < window_frames; ++fi) {
+        // Frame fold, serial in frame order: attempt-0 decode statistics of
+        // the coded link and the ARQ counters (at frame granularity when
+        // coded, per use when uncoded).
+        for (std::size_t fi = 0; chained && fi < window_frames; ++fi) {
             for (std::size_t p = 0; p < num_paths; ++p) {
                 path_report& path = report.paths[p];
-                const fec_cell& fc = fec_cells[p * frames_per_block + fi];
-                ++path.fec->frames;
-                if (!fc.first_ok) ++path.fec->frame_errors;
-                path.fec->info_ber.add_frame(frame_info[fi], fc.decoded0);
+                const frame_outcome& outcome = frame_cells[p * frames_per_block + fi];
+                if (coded) {
+                    ++path.fec->frames;
+                    if (!outcome.first_ok) ++path.fec->frame_errors;
+                    path.fec->info_ber.add_frame(frame_info[fi], outcome.decoded0);
+                }
                 if (config.arq) {
-                    path.arq->counters.add_frame(fc.attempts, fc.wrong, fc.first_ok,
-                                                 fc.final_ok);
-                    for (const double s_us : fc.retx_service_us) {
+                    path.arq->counters.add_frame(outcome.attempts, outcome.wrong,
+                                                 outcome.first_ok, outcome.final_ok);
+                    for (const double s_us : outcome.retx_service_us) {
                         path.arq->retx_service.add(s_us);
                     }
                 }

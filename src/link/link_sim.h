@@ -38,11 +38,11 @@
 // these statistics to the values the pre-registry (enum-dispatch, per-cell
 // storage) implementation produced.
 //
-// Concurrency contract: lock-free steady state by design.  Workers fill
-// disjoint, preallocated per-use slots of the current window and the fold is
-// serial; the only annotated locking on the path is inside util::thread_pool
-// and the one-time per-thread arena acquisition (paths::workspace_store and
-// the coded link's codec store — both thread-local-cached after first touch).
+// Concurrency contract: lock-free steady state by design.  Each pool worker
+// owns its own reusable state (workspace, retransmission chain, codec) and
+// fills disjoint, preallocated per-use slots of the current window; the fold
+// is serial; the only annotated locking on the path is inside
+// util::thread_pool.
 // TSan (verify.sh --tsan) and the thread-count-invariance tests enforce
 // the contract; see docs/ARCHITECTURE.md, "The determinism contract as
 // enforceable rules".
@@ -134,15 +134,6 @@ struct link_config {
     /// Channel uses processed per aggregation window; bounds peak memory at
     /// O(stream_block x paths) without affecting any statistic.  0 throws.
     std::size_t stream_block = 1024;
-
-    /// Per-worker workspaces (paths/workspace.h): when true (the default),
-    /// every worker reuses scratch buffers and exact-content-keyed
-    /// decomposition caches across uses, making the warmed-up hot path
-    /// allocation-free.  Statistics are bit-identical either way — the
-    /// caches key on exact channel content, so a hit replays a pure function
-    /// of the same input — which tests/workspace_test.cpp pins.  false keeps
-    /// the allocate-per-call behaviour for that A/B comparison.
-    bool workspaces = true;
 
     /// Forward error correction (fec/code_spec.h): when set, the stream
     /// carries CODED frames — each frame's information bits (drawn from the

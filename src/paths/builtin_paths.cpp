@@ -38,12 +38,6 @@ void set_stage(path_result& out, std::size_t index, const char* name, double ser
     out.stages[index].service_us = service_us;
 }
 
-void check_block_sizes(std::span<const path_context> ctxs, std::span<path_result> out) {
-    if (ctxs.size() != out.size()) {
-        throw std::invalid_argument("detection_path::run_block: span length mismatch");
-    }
-}
-
 /// Guard for QUBO-consuming paths: the caller promised a shared reduction
 /// whenever any configured path reports needs_qubo().
 void require_qubo(const path_context& ctx) {
@@ -53,30 +47,38 @@ void require_qubo(const path_context& ctx) {
     }
 }
 
+/// The soft-output buffers of ctx's workspace; like run_block, soft_output
+/// needs one.
+soft_scratch& soft_of(const path_context& ctx) {
+    if (ctx.ws == nullptr) {
+        throw std::invalid_argument("detection_path::soft_output: path_context.ws is null");
+    }
+    return ctx.ws->soft;
+}
+
 /// Post-equalisation max-log soft output of the linear detection paths:
 /// equalise through the normal equations (H^H H + load I)^-1 H^H y — load 0
 /// is zero forcing — and scale each stream's max-log metric by the
 /// per-stream noise enhancement sigma^2 [(H^H H + load I)^-1]_uu.  The
 /// effective sigma^2 is floored (wireless::llr_noise_floor) so a noiseless
 /// instance yields large-but-finite confidences, and every LLR is clamped
-/// by equalized_llrs_into.  Deterministic, workspace-independent, and
-/// harden(llrs) reproduces the linear detector's hard decisions exactly:
+/// by equalized_llrs_into.  Deterministic (the scratch only holds buffers),
+/// and harden(llrs) reproduces the linear detector's hard decisions exactly:
 /// per symbol, the bit pattern minimising the max-log metric IS the nearest
 /// constellation point the detector slices to.
-void linear_soft_output(const wireless::mimo_instance& inst, double load, path_result& out) {
-    linalg::cmat a;
-    linalg::gram_into(inst.h, a);
-    for (std::size_t i = 0; i < a.rows(); ++i) a(i, i) += load;
-    const auto a_inv = linalg::inverse(a);
-    linalg::cvec hy;
-    linalg::herm_matvec_into(inst.h, inst.y, hy);
-    const linalg::cvec equalized = a_inv * hy;
+void linear_soft_output(const wireless::mimo_instance& inst, double load, soft_scratch& s,
+                        path_result& out) {
+    linalg::gram_into(inst.h, s.gram);
+    for (std::size_t i = 0; i < s.gram.rows(); ++i) s.gram(i, i) += load;
+    linalg::inverse_into(s.gram, s.inverse, s.gram_inv);
+    linalg::herm_matvec_into(inst.h, inst.y, s.hy);
+    linalg::matvec_into(s.gram_inv, s.hy, s.equalized);
     const double sigma_sq = std::max(inst.noise_variance, wireless::llr_noise_floor);
-    std::vector<double> stream_nv(inst.num_users);
+    s.stream_nv.resize(inst.num_users);
     for (std::size_t u = 0; u < inst.num_users; ++u) {
-        stream_nv[u] = sigma_sq * std::max(a_inv(u, u).real(), 1e-12);
+        s.stream_nv[u] = sigma_sq * std::max(s.gram_inv(u, u).real(), 1e-12);
     }
-    wireless::equalized_llrs_into(inst, equalized, stream_nv, out.llrs);
+    wireless::equalized_llrs_into(inst, s.equalized, s.stream_nv, out.llrs);
 }
 
 /// A conventional detector as a path: one "detect" stage straight on y and
@@ -92,28 +94,24 @@ public:
         : det_(std::move(det)), name_(std::move(display_name)), spec_(std::move(spec)),
           soft_(soft) {}
 
-    [[nodiscard]] path_result run(const path_context& ctx) const override {
-        path_result out;
-        run_cell(ctx, out);
-        return out;
-    }
     void run_block(std::span<const path_context> ctxs, std::span<path_result> out) const override {
-        check_block_sizes(ctxs, out);
+        check_block(ctxs, out);
         for (std::size_t i = 0; i < ctxs.size(); ++i) run_cell(ctxs[i], out[i]);
     }
     void soft_output(const path_context& ctx, path_result& out) const override {
         switch (soft_) {
             case soft_kind::zf_equalized:
-                linear_soft_output(ctx.instance, 0.0, out);
+                linear_soft_output(ctx.instance, 0.0, soft_of(ctx), out);
                 return;
             case soft_kind::mmse_equalized:
                 linear_soft_output(ctx.instance,
                                    ctx.instance.noise_variance /
                                        wireless::mean_symbol_energy(ctx.instance.mod),
-                                   out);
+                                   soft_of(ctx), out);
                 return;
             case soft_kind::recost:
-                wireless::flip_recost_llrs_into(ctx.instance, out.bits, out.llrs);
+                wireless::flip_recost_llrs_into(ctx.instance, out.bits, soft_of(ctx).recost,
+                                                out.llrs);
                 return;
         }
     }
@@ -124,16 +122,10 @@ public:
 private:
     void run_cell(const path_context& ctx, path_result& out) const {
         const util::timer clock;
-        if (ctx.ws != nullptr) {
-            detect::detection_result& detected = ctx.ws->detect.result;
-            det_->detect_into(ctx.instance, ctx.ws->detect, detected);
-            out.bits = detected.bits;  // copy-assign: reuses out's capacity
-            out.ml_cost = detected.ml_cost;
-        } else {
-            auto detected = det_->detect(ctx.instance);
-            out.bits = std::move(detected.bits);
-            out.ml_cost = detected.ml_cost;
-        }
+        detect::detection_result& detected = ctx.ws->detect.result;
+        det_->detect_into(ctx.instance, ctx.ws->detect, detected);
+        out.bits = detected.bits;  // copy-assign: reuses out's capacity
+        out.ml_cost = detected.ml_cost;
         out.stages.resize(1);
         set_stage(out, 0, "detect", clock.elapsed_us());
     }
@@ -152,22 +144,17 @@ public:
     qubo_solver_path(std::shared_ptr<const solvers::solver> solver, path_spec spec)
         : solver_(std::move(solver)), spec_(std::move(spec)) {}
 
-    [[nodiscard]] path_result run(const path_context& ctx) const override {
-        path_result out;
-        run_cell(ctx, out);
-        return out;
-    }
     void run_block(std::span<const path_context> ctxs, std::span<path_result> out) const override {
-        check_block_sizes(ctxs, out);
+        check_block(ctxs, out);
         for (std::size_t i = 0; i < ctxs.size(); ++i) run_cell(ctxs[i], out[i]);
     }
     /// Energy-gap soft output: the single-bit-flip ML recost of the
     /// detected word — by the transform round-trip invariant these gaps
     /// equal the QUBO flip deltas at the solver's answer, and unlike a
-    /// candidate-list method they exist identically with and without a
-    /// workspace (solve_best_into keeps no sample set).
+    /// candidate-list method they need no sample set (solve_best_into
+    /// keeps none).
     void soft_output(const path_context& ctx, path_result& out) const override {
-        wireless::flip_recost_llrs_into(ctx.instance, out.bits, out.llrs);
+        wireless::flip_recost_llrs_into(ctx.instance, out.bits, soft_of(ctx).recost, out.llrs);
     }
     [[nodiscard]] std::string name() const override { return solver_->name(); }
     [[nodiscard]] path_spec spec() const override { return spec_; }
@@ -181,18 +168,10 @@ private:
     void run_cell(const path_context& ctx, path_result& out) const {
         require_qubo(ctx);
         const util::timer clock;
-        double solve_us = 0.0;
-        if (ctx.ws != nullptr) {
-            solver_->solve_best_into(ctx.reduced->model, ctx.rng, ctx.ws->solve, out.bits);
-            solve_us = clock.elapsed_us();
-            out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ctx.ws->detect.symbols,
-                                                    ctx.ws->detect.residual);
-        } else {
-            const auto samples = solver_->solve(ctx.reduced->model, ctx.rng);
-            solve_us = clock.elapsed_us();
-            out.bits = samples.best().bits;
-            out.ml_cost = ctx.instance.ml_cost_bits(out.bits);
-        }
+        solver_->solve_best_into(ctx.reduced->model, ctx.rng, ctx.ws->solve, out.bits);
+        const double solve_us = clock.elapsed_us();
+        out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ctx.ws->detect.symbols,
+                                                ctx.ws->detect.residual);
         out.stages.resize(1);
         set_stage(out, 0, "solve", solve_us);
     }
@@ -270,18 +249,13 @@ public:
         }
     }
 
-    [[nodiscard]] path_result run(const path_context& ctx) const override {
-        path_result out;
-        run_cell(ctx, out);
-        return out;
-    }
     void run_block(std::span<const path_context> ctxs, std::span<path_result> out) const override {
-        check_block_sizes(ctxs, out);
+        check_block(ctxs, out);
         for (std::size_t i = 0; i < ctxs.size(); ++i) run_cell(ctxs[i], out[i]);
     }
     /// Energy-gap soft output, like qubo_solver_path.
     void soft_output(const path_context& ctx, path_result& out) const override {
-        wireless::flip_recost_llrs_into(ctx.instance, out.bits, out.llrs);
+        wireless::flip_recost_llrs_into(ctx.instance, out.bits, soft_of(ctx).recost, out.llrs);
     }
     [[nodiscard]] std::string name() const override {
         const std::string base = adapter_ != nullptr ? adapter_->name() : "KB+RA";
@@ -302,40 +276,29 @@ public:
 private:
     void run_cell(const path_context& ctx, path_result& out) const {
         require_qubo(ctx);
+        hybrid::hybrid_solver::timings times;
+        double detect_us = 0.0;
         if (adapter_ != nullptr) {
-            if (ctx.ws != nullptr) {
-                hybrid::hybrid_solver::timings times;
-                adapter_->hybrid().solve_best_into(ctx.reduced->model, ctx.rng, ctx.ws->solve,
-                                                   out.bits, times);
-                out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ctx.ws->detect.symbols,
-                                                        ctx.ws->detect.residual);
-                out.stages.resize(2);
-                set_stage(out, 0, "classical", times.classical_us);
-                set_stage(out, 1, "quantum", times.quantum_us);
-            } else {
-                const auto result = adapter_->hybrid().solve(ctx.reduced->model, ctx.rng);
-                out.bits = result.best_bits;
-                out.ml_cost = ctx.instance.ml_cost_bits(out.bits);
-                out.stages.resize(2);
-                set_stage(out, 0, "classical", result.classical_us);
-                set_stage(out, 1, "quantum", result.quantum_us);
-            }
-            return;
+            adapter_->hybrid().solve_best_into(ctx.reduced->model, ctx.rng, ctx.ws->solve,
+                                               out.bits, times);
+        } else {
+            // kbest initialiser: detect on the channel use itself (measured
+            // classical time), then seed the reverse anneal with the result.
+            // Constructing the per-use initialiser copies the seed bits, so
+            // this branch is not allocation-free — it is an application-
+            // specific variant, not one of the hot-path defaults.
+            detect::detection_result& detected = ctx.ws->detect.result;
+            detector_->detect_into(ctx.instance, ctx.ws->detect, detected);
+            detect_us = detected.elapsed_us;
+            const solvers::fixed_initializer init(detected.bits, "KB");
+            const hybrid::hybrid_solver solver(init, *device_, schedule_, reads_);
+            solver.solve_best_into(ctx.reduced->model, ctx.rng, ctx.ws->solve, out.bits, times);
         }
-        // kbest initialiser: detect on the channel use itself (measured
-        // classical time), then seed the reverse anneal with the result.
-        // Constructing the per-use initialiser copies the seed bits, so this
-        // branch is not allocation-free — it is an application-specific
-        // variant, not one of the hot-path defaults.
-        const auto detected = detector_->detect(ctx.instance);
-        const solvers::fixed_initializer init(detected.bits, "KB");
-        const hybrid::hybrid_solver solver(init, *device_, schedule_, reads_);
-        const auto result = solver.solve(ctx.reduced->model, ctx.rng);
-        out.bits = result.best_bits;
-        out.ml_cost = ctx.instance.ml_cost_bits(out.bits);
+        out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ctx.ws->detect.symbols,
+                                                ctx.ws->detect.residual);
         out.stages.resize(2);
-        set_stage(out, 0, "classical", detected.elapsed_us + result.classical_us);
-        set_stage(out, 1, "quantum", result.quantum_us);
+        set_stage(out, 0, "classical", detect_us + times.classical_us);
+        set_stage(out, 1, "quantum", times.quantum_us);
     }
 
     std::shared_ptr<const hybrid::hybrid_solver_adapter> adapter_;  ///< gs / tabu

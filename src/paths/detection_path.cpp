@@ -19,12 +19,21 @@ const util::spec::grammar& path_grammar() {
 
 }  // namespace
 
-void detection_path::run_block(std::span<const path_context> ctxs,
-                               std::span<path_result> out) const {
+void check_block(std::span<const path_context> ctxs, std::span<const path_result> out) {
     if (ctxs.size() != out.size()) {
         throw std::invalid_argument("detection_path::run_block: span length mismatch");
     }
-    for (std::size_t i = 0; i < ctxs.size(); ++i) out[i] = run(ctxs[i]);
+    for (const path_context& ctx : ctxs) {
+        if (ctx.ws == nullptr) {
+            throw std::invalid_argument("detection_path::run_block: path_context.ws is null");
+        }
+    }
+}
+
+path_result detection_path::run(const path_context& ctx) const {
+    path_result out;
+    run_block(std::span<const path_context>(&ctx, 1), std::span<path_result>(&out, 1));
+    return out;
 }
 
 void detection_path::soft_output(const path_context& /*ctx*/, path_result& out) const {

@@ -78,13 +78,11 @@ struct path_context {
     /// must ignore it.
     const detect::ml_qubo* reduced = nullptr;
     util::rng& rng;  ///< per-(use, path) derived stream — the ONLY randomness source
-    /// Per-worker reusable state (scratch buffers + decomposition caches),
-    /// or nullptr for the allocate-per-call legacy behaviour.  Optional by
-    /// contract: a path must produce bit-identical bits/ml_cost either way
-    /// (only timings may differ), so `path_context{instance, reduced, rng}`
-    /// — the historical aggregate shape — keeps compiling and keeps its
-    /// meaning for out-of-tree paths.
-    workspace* ws = nullptr;
+    /// Per-worker reusable state (scratch buffers + decomposition caches).
+    /// Mandatory: run_block throws std::invalid_argument on a null `ws`.
+    /// The workspace never changes bits/ml_cost (only timings), so which
+    /// worker's arena serves a use is free.
+    workspace* ws;
 };
 
 /// One named stage timing of a path's solve.
@@ -114,34 +112,35 @@ class detection_path {
 public:
     virtual ~detection_path() = default;
 
-    /// Detects one channel use.  Must be const-thread-safe (called
-    /// concurrently from pool workers) and must draw randomness only from
-    /// `ctx.rng`.
-    [[nodiscard]] virtual path_result run(const path_context& ctx) const = 0;
+    /// Detects one channel use: run_block over a one-element span into a
+    /// fresh result (a convenience for callers outside the hot path).
+    [[nodiscard]] path_result run(const path_context& ctx) const;
 
     /// Detects a batch of channel uses, writing result i of `ctxs[i]` into
     /// `out[i]` (reused by the caller across batches — a warmed-up result
-    /// vector plus workspace-carrying contexts make the built-in paths
-    /// allocation-free per use).  Contract: out[i] carries exactly what
-    /// run(ctxs[i]) would return (timings excepted), so callers may batch or
-    /// not freely.  The default is that loop; built-in paths override run()'s
-    /// innards rather than this, and out-of-tree paths need not override
-    /// anything.  Throws std::invalid_argument on span length mismatch.
+    /// vector plus the contexts' workspaces make the built-in paths
+    /// allocation-free per use).  The one execution virtual: must be
+    /// const-thread-safe (called concurrently from pool workers) and must
+    /// draw randomness only from each `ctxs[i].rng`, so out[i] depends on
+    /// ctxs[i] alone (timings excepted) and callers may batch freely.
+    /// Implementations start with check_block, which throws
+    /// std::invalid_argument on a span length mismatch or a null workspace.
     virtual void run_block(std::span<const path_context> ctxs,
-                           std::span<path_result> out) const;
+                           std::span<path_result> out) const = 0;
 
     /// Fills `out.llrs` with per-bit soft information for the detection
     /// carried by `out` (which must hold this path's result for `ctx`, i.e.
     /// soft_output is called after run / run_block on the same context).
-    /// Mirrors the `ws`/`run_block` opt-in pattern: the soft path is an
-    /// explicit second call, so paths — and callers — that never ask for
-    /// LLRs are byte-for-byte unaffected, and out-of-tree paths compile
-    /// unchanged: the DEFAULT emits clamped hard decisions (+/-llr_cap from
-    /// out.bits), which downstream decoding treats as maximal-confidence
-    /// soft values.  Overrides must be deterministic (no ctx.rng draws) and
-    /// independent of ctx.ws, so LLRs — like bits — are bit-identical at
-    /// any thread count, stream block, and workspace setting.  The built-in
-    /// overrides: linear paths produce post-equalisation max-log LLRs
+    /// The soft path is an explicit second call, so paths — and callers —
+    /// that never ask for LLRs are byte-for-byte unaffected, and out-of-tree
+    /// paths need not override it: the DEFAULT emits clamped hard decisions
+    /// (+/-llr_cap from out.bits), which downstream decoding treats as
+    /// maximal-confidence soft values.  Overrides must be deterministic (no
+    /// ctx.rng draws); they may keep buffers in ctx.ws (the built-ins do, and
+    /// throw std::invalid_argument on a null one) but their LLRs must not
+    /// depend on its state, so LLRs — like bits — are bit-identical at any
+    /// thread count and stream block.  The built-in overrides: linear paths
+    /// produce post-equalisation max-log LLRs
     /// (wireless::equalized_llrs_into); tree-search and QUBO-solver paths
     /// produce single-bit-flip recost LLRs (wireless::flip_recost_llrs_into
     /// — for solver paths the QUBO energy gap at the detected word).
@@ -181,6 +180,10 @@ public:
         return nullptr;
     }
 };
+
+/// The shared validation of a run_block call: throws std::invalid_argument
+/// when the spans differ in length or a context carries no workspace.
+void check_block(std::span<const path_context> ctxs, std::span<const path_result> out);
 
 /// Typed argument access for path factories.  Each throws
 /// std::invalid_argument naming the path kind, the key, the offending value,

@@ -133,9 +133,12 @@ void finalize(simulation_result& result, const std::vector<stage>& stages,
 
 // ---------------------------------------------------------------------------
 // Unbounded core: the legacy forward recurrence, extended with round-robin
-// multi-server stages and queue-occupancy tracking.  Kept separate from the
-// bounded core so the historical unbounded results (and RNG draw order) stay
-// bit-identical.
+// multi-server stages and queue-occupancy tracking.  The bounded core at an
+// ample capacity reproduces it (same draws, same results), yet it stays: it
+// is the independent reference the bounded core is checked against
+// (tests/pipeline_test.cpp, Bounded.AmpleCapacityMatchesUnboundedExactly),
+// and routing unbounded_capacity through the bounded core would turn that
+// check into a comparison of the bounded core with itself.
 // ---------------------------------------------------------------------------
 simulation_result simulate_unbounded(const std::vector<stage>& stages, std::size_t num_jobs,
                                      const arrival_process& arrivals, util::rng& rng,

@@ -53,8 +53,8 @@ double rng::angle() {
 }
 
 std::vector<std::uint8_t> rng::bits(std::size_t n) {
-    std::vector<std::uint8_t> out(n);
-    for (auto& b : out) b = static_cast<std::uint8_t>(engine_() & 1ULL);
+    std::vector<std::uint8_t> out;
+    bits_into(n, out);
     return out;
 }
 

@@ -6,17 +6,13 @@
 namespace hcq::wireless {
 
 double mimo_instance::ml_cost(const linalg::cvec& x) const {
-    if (x.size() != num_users) throw std::invalid_argument("ml_cost: wrong symbol count");
-    linalg::cvec residual = y;
-    residual -= h * x;
-    const double n = residual.norm2();
-    return n * n;
+    linalg::cvec residual;
+    return ml_cost(x, residual);
 }
 
 double mimo_instance::ml_cost(const linalg::cvec& x, linalg::cvec& residual_scratch) const {
     if (x.size() != num_users) throw std::invalid_argument("ml_cost: wrong symbol count");
-    // residual = y - H x via the into-kernel: identical arithmetic to
-    // `residual = y; residual -= h * x;` without the matvec temporary.
+    // residual = y - H x, elementwise.
     linalg::matvec_into(h, x, residual_scratch);
     for (std::size_t i = 0; i < residual_scratch.size(); ++i) {
         residual_scratch[i] = y[i] - residual_scratch[i];
@@ -26,7 +22,9 @@ double mimo_instance::ml_cost(const linalg::cvec& x, linalg::cvec& residual_scra
 }
 
 double mimo_instance::ml_cost_bits(std::span<const std::uint8_t> bits) const {
-    return ml_cost(modulate(mod, bits));
+    linalg::cvec symbols;
+    linalg::cvec residual;
+    return ml_cost_bits(bits, symbols, residual);
 }
 
 double mimo_instance::ml_cost_bits(std::span<const std::uint8_t> bits,

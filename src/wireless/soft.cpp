@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "linalg/decompose.h"
 
 namespace hcq::wireless {
 
@@ -27,20 +26,25 @@ std::vector<double> symbol_llrs(modulation mod, linalg::cxd equalized, double no
 void symbol_llrs_into(modulation mod, linalg::cxd equalized, double noise_variance,
                       std::span<double> out) {
     if (noise_variance <= 0.0) throw std::invalid_argument("symbol_llrs: noise_variance <= 0");
-    const auto points = constellation(mod);
     const std::size_t bps = bits_per_symbol(mod);
     if (out.size() != bps) throw std::invalid_argument("symbol_llrs: wrong output length");
     double min0[8];  // bits_per_symbol is at most 6
     double min1[8];
+    std::uint8_t pattern_bits[8];
     for (std::size_t b = 0; b < bps; ++b) {
         min0[b] = std::numeric_limits<double>::infinity();
         min1[b] = std::numeric_limits<double>::infinity();
     }
-    for (std::size_t pattern = 0; pattern < points.size(); ++pattern) {
-        const double dist = std::norm(equalized - points[pattern]);
+    // Every constellation point in natural-map pattern order, MSB-first
+    // (the order of wireless::constellation), modulated on the stack.
+    for (std::size_t pattern = 0; pattern < (std::size_t{1} << bps); ++pattern) {
         for (std::size_t b = 0; b < bps; ++b) {
-            // `constellation` indexes by the natural-map pattern, MSB-first.
-            const bool bit = ((pattern >> (bps - 1 - b)) & 1U) != 0;
+            pattern_bits[b] = static_cast<std::uint8_t>((pattern >> (bps - 1 - b)) & 1U);
+        }
+        const cxd point = modulate_symbol(mod, std::span<const std::uint8_t>(pattern_bits, bps));
+        const double dist = std::norm(equalized - point);
+        for (std::size_t b = 0; b < bps; ++b) {
+            const bool bit = pattern_bits[b] != 0;
             auto& best = bit ? min1[b] : min0[b];
             best = std::min(best, dist);
         }
@@ -67,15 +71,16 @@ void equalized_llrs_into(const mimo_instance& instance, const linalg::cvec& equa
 }
 
 void flip_recost_llrs_into(const mimo_instance& instance, std::span<const std::uint8_t> bits,
-                           std::vector<double>& out) {
+                           recost_scratch& scratch, std::vector<double>& out) {
     if (bits.size() != instance.num_bits()) {
         throw std::invalid_argument("flip_recost_llrs: wrong bit-string length");
     }
     const double nv = std::max(instance.noise_variance, llr_noise_floor);
     // Scratch word reused per flip; cost of the detected word computed once.
-    std::vector<std::uint8_t> word(bits.begin(), bits.end());
-    linalg::cvec symbols;
-    linalg::cvec residual;
+    std::vector<std::uint8_t>& word = scratch.word;
+    word.assign(bits.begin(), bits.end());
+    linalg::cvec& symbols = scratch.symbols;
+    linalg::cvec& residual = scratch.residual;
     const double base_cost = instance.ml_cost_bits(word, symbols, residual);
     out.resize(bits.size());
     for (std::size_t b = 0; b < bits.size(); ++b) {
@@ -87,24 +92,6 @@ void flip_recost_llrs_into(const mimo_instance& instance, std::span<const std::u
         const double gap = (flip_cost - base_cost) / nv;
         out[b] = signed_llr(bits[b], gap);
     }
-}
-
-std::vector<double> zf_soft_bits(const mimo_instance& instance, double noise_floor) {
-    if (noise_floor <= 0.0) throw std::invalid_argument("zf_soft_bits: noise_floor <= 0");
-    const auto soft = linalg::least_squares(instance.h, instance.y);
-
-    // Per-stream post-ZF noise enhancement: sigma_u^2 = sigma^2 [(H^H H)^-1]_uu.
-    const auto gram = instance.h.hermitian() * instance.h;
-    const auto gram_inv = linalg::inverse(gram);
-    const double sigma_sq = std::max(instance.noise_variance, noise_floor);
-
-    std::vector<double> stream_nv(instance.num_users);
-    for (std::size_t u = 0; u < instance.num_users; ++u) {
-        stream_nv[u] = sigma_sq * std::max(gram_inv(u, u).real(), 1e-12);
-    }
-    std::vector<double> llrs;
-    equalized_llrs_into(instance, soft, stream_nv, llrs);
-    return llrs;
 }
 
 std::vector<std::uint8_t> harden(const std::vector<double>& llrs) {

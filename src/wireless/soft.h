@@ -58,8 +58,8 @@ inline constexpr double llr_noise_floor = 1e-3;
 [[nodiscard]] std::vector<double> symbol_llrs(modulation mod, linalg::cxd equalized,
                                               double noise_variance);
 
-/// symbol_llrs into a caller-owned buffer at `out[offset .. offset+bps)` —
-/// same values (then clamped via clamp_llr), no allocation after warm-up.
+/// symbol_llrs into a caller-owned span of bits_per_symbol(mod) values —
+/// same values (then clamped via clamp_llr), no allocation.
 void symbol_llrs_into(modulation mod, linalg::cxd equalized, double noise_variance,
                       std::span<double> out);
 
@@ -70,28 +70,22 @@ void equalized_llrs_into(const mimo_instance& instance, const linalg::cvec& equa
                          std::span<const double> stream_noise_variance,
                          std::vector<double>& out);
 
+/// Reusable buffers of flip_recost_llrs_into.
+struct recost_scratch {
+    std::vector<std::uint8_t> word;  ///< the detected word, one bit flipped at a time
+    linalg::cvec symbols;
+    linalg::cvec residual;
+};
+
 /// Per-bit LLRs from single-bit-flip ML re-costing of a detected word:
 /// LLR_b = (cost of the word with b flipped to 1 ... minus ... flipped to 0)
 /// / max(noise_variance, llr_noise_floor), evaluated on the two words that
-/// differ from `bits` only at b.  Deterministic, RNG-free, and independent
-/// of any workspace — the soft output of the tree-search and QUBO-solver
-/// paths (for the latter this IS the QUBO energy gap at the detected word,
-/// by the transform round-trip invariant).  Clamped.
+/// differ from `bits` only at b.  Deterministic and RNG-free (the scratch
+/// holds no state between calls) — the soft output of the tree-search and
+/// QUBO-solver paths (for the latter this IS the QUBO energy gap at the
+/// detected word, by the transform round-trip invariant).  Clamped.
 void flip_recost_llrs_into(const mimo_instance& instance, std::span<const std::uint8_t> bits,
-                           std::vector<double>& out);
-
-/// Per-bit LLRs for a whole instance via zero-forcing equalisation with
-/// per-stream noise enhancement (diag of (H^H H)^-1), canonical layout.
-/// For a noiseless instance pass `noise_floor` > 0 to bound confidences.
-///
-/// DEPRECATED: detection-path soft output (paths::detection_path::
-/// soft_output) supersedes this free function — it produces the same
-/// post-equalisation LLRs for the "zf" path through the one public API and
-/// covers every other path too.  Kept for source compatibility; new code
-/// must not call it.
-[[deprecated("use paths::detection_path::soft_output — the unified path-level soft output")]]
-[[nodiscard]] std::vector<double> zf_soft_bits(const mimo_instance& instance,
-                                               double noise_floor = 1e-3);
+                           recost_scratch& scratch, std::vector<double>& out);
 
 /// Hard decisions from LLRs (0 when LLR >= 0).  NaN-safe: a NaN LLR clamps
 /// to 0 first (clamp_llr) and therefore hardens to bit 0 — deterministic

@@ -5,7 +5,10 @@
 // redesign promises: once warm, a full use — QUBO reduction (where the path
 // needs one) plus detection/solve through run_block — performs ZERO heap
 // allocations, for a cached linear path (zf), a sweep solver (sa), and the
-// hybrid (gsra), even as the channel content changes use to use.
+// hybrid (gsra), even as the channel content changes use to use.  The same
+// holds for the link's retransmission chain (link/retx_chain.h): a warm
+// chain re-synthesises, re-reduces, re-detects and re-decodes a frame —
+// uncoded ARQ and coded chase-combining HARQ alike — without allocating.
 //
 // This suite must NOT run under ASan/TSan (the sanitizers interpose their
 // own allocator); scripts/verify.sh builds only its named suites for the
@@ -16,11 +19,15 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "arq/arq.h"
 #include "detect/transform.h"
+#include "fec/code_spec.h"
+#include "link/retx_chain.h"
 #include "paths/detection_path.h"
 #include "paths/registry.h"
 #include "paths/workspace.h"
@@ -68,6 +75,16 @@ namespace {
 namespace pt = hcq::paths;
 namespace wl = hcq::wireless;
 namespace dt = hcq::detect;
+namespace lk = hcq::link;
+
+wl::mimo_config four_by_four_qam16() {
+    wl::mimo_config mimo;
+    mimo.mod = wl::modulation::qam16;
+    mimo.num_users = 4;
+    mimo.num_antennas = 4;
+    mimo.noise_variance = wl::noise_variance_for_snr(mimo.mod, 4, 16.0);
+    return mimo;
+}
 
 /// Runs `spec` over rotating channel instances with one warm workspace and
 /// returns the allocation count of the steady-state phase.
@@ -75,11 +92,7 @@ std::uint64_t steady_state_allocations(const char* spec) {
     const auto path = pt::registry::make(std::string(spec));
     const bool needs_qubo = path->needs_qubo();
 
-    wl::mimo_config mimo;
-    mimo.mod = wl::modulation::qam16;
-    mimo.num_users = 4;
-    mimo.num_antennas = 4;
-    mimo.noise_variance = wl::noise_variance_for_snr(mimo.mod, 4, 16.0);
+    const wl::mimo_config mimo = four_by_four_qam16();
 
     // Distinct channel contents so the steady-state phase also exercises
     // decomposition-cache misses (restores into warm buffers, not allocs).
@@ -124,6 +137,101 @@ TEST(AllocRegression, SaSteadyStateIsAllocationFree) {
 
 TEST(AllocRegression, GsraSteadyStateIsAllocationFree) {
     EXPECT_EQ(steady_state_allocations("gsra:reads=4"), 0U);
+}
+
+/// Runs `spec` through the retransmission chain of four rotating frames
+/// (their attempt-0 uses detected up front) with one warm chain and
+/// workspace, and returns the allocation count of the steady-state phase.
+/// deadline_us=0 makes every frame burn its full retry budget, so each
+/// chain call re-synthesises, re-reduces and re-detects max_retx attempts.
+/// `fec` empty runs the uncoded one-use frame; otherwise coded frames are
+/// decoded from chase-combined LLRs.
+std::uint64_t steady_state_chain_allocations(const char* spec, const char* fec) {
+    const auto path = pt::registry::make(std::string(spec));
+    const bool needs_qubo = path->needs_qubo();
+    const bool coded = fec[0] != '\0';
+    const std::size_t bits_per_use = 16;  // 4 users x 4 bits
+
+    std::optional<lk::llr_decoder> llr;
+    std::size_t uses_per_frame = 1;
+    if (coded) {
+        const auto code = hcq::fec::code_spec::parse(fec);
+        llr.emplace(code, hcq::arq::combining_mode::chase, bits_per_use);
+        uses_per_frame = (code.coded_bits() + bits_per_use - 1) / bits_per_use;
+    }
+    const lk::retx_setup setup{.mimo = four_by_four_qam16(),
+                               .process = nullptr,
+                               .csi_est_err = 0.0,
+                               .synth_base = hcq::util::rng(11),
+                               .solve_base = hcq::util::rng(12),
+                               .num_paths = 1,
+                               .uses_per_frame = uses_per_frame,
+                               .arq = hcq::arq::parse_arq(
+                                   "deadline_us=0,max_retx=2,combining=chase")};
+
+    // Four frames' attempt-0 uses and detections (with LLRs when coded).
+    constexpr std::size_t frames = 4;
+    pt::workspace ws;
+    hcq::util::rng rng(13);
+    std::vector<std::vector<std::uint8_t>> info(frames);
+    std::vector<std::vector<std::uint8_t>> coded_bits(frames);
+    std::vector<wl::mimo_instance> instances(frames * uses_per_frame);
+    std::vector<dt::ml_qubo> mqs(instances.size());
+    std::vector<pt::path_result> first(instances.size());
+    std::vector<std::uint8_t> use_bits;
+    for (std::size_t f = 0; f < frames; ++f) {
+        if (coded) {
+            rng.bits_into(llr->codec().info_bits(), info[f]);
+            llr->codec().encode_frame(info[f], coded_bits[f]);
+        }
+        for (std::size_t j = 0; j < uses_per_frame; ++j) {
+            const std::size_t i = f * uses_per_frame + j;
+            if (coded) lk::pad_use_bits(coded_bits[f], j, bits_per_use, use_bits);
+            wl::synthesize_coded_into(rng, setup.mimo, use_bits, instances[i]);
+            if (needs_qubo) mqs[i] = dt::ml_to_qubo(instances[i]);
+            hcq::util::rng solve_rng = rng.derive(i);
+            const pt::path_context ctx{instances[i], needs_qubo ? &mqs[i] : nullptr, solve_rng,
+                                       &ws};
+            first[i] = path->run(ctx);
+            if (coded) path->soft_output(ctx, first[i]);
+        }
+    }
+
+    lk::retx_chain chain(setup);
+    lk::bits_decoder bits;
+    lk::frame_outcome outcome;
+    const auto run_frame = [&](std::size_t f) {
+        const std::size_t i0 = f * uses_per_frame;
+        chain.begin_frame(i0, coded_bits[f]);
+        lk::frame_decoder* decoder = &bits;
+        if (coded) {
+            llr->begin(info[f], outcome.decoded0);
+            decoder = &*llr;
+        }
+        chain.run(*path, 0, std::span<const wl::mimo_instance>(instances).subspan(i0, uses_per_frame),
+                  std::span<const pt::path_result>(first).subspan(i0, uses_per_frame), *decoder,
+                  ws, outcome);
+        EXPECT_EQ(outcome.attempts, 3U);  // deadline_us=0: the full budget
+    };
+
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t f = 0; f < frames; ++f) run_frame(f);
+    }
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int pass = 0; pass < 3; ++pass) {
+        for (std::size_t f = 0; f < frames; ++f) run_frame(f);
+    }
+    return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(AllocRegression, UncodedArqChainIsAllocationFree) {
+    EXPECT_EQ(steady_state_chain_allocations("sa:reads=4,sweeps=40", ""), 0U);
+    EXPECT_EQ(steady_state_chain_allocations("kbest", ""), 0U);
+}
+
+TEST(AllocRegression, CodedChaseHarqChainIsAllocationFree) {
+    EXPECT_EQ(steady_state_chain_allocations("zf", "k7"), 0U);
+    EXPECT_EQ(steady_state_chain_allocations("gsra:reads=4", "k7"), 0U);
 }
 
 // The counter itself must be live, or the zeros above prove nothing.

@@ -54,7 +54,9 @@ TEST(RealModel, SliceAmplitude) {
 TEST(RealModel, AssembleValidatesSize) {
     hcq::util::rng rng(2);
     const auto inst = wl::noiseless_paper_instance(rng, 3, modulation::qpsk);
-    EXPECT_THROW((void)dt::assemble_result(inst, std::vector<double>(3, 1.0), 0),
+    hcq::linalg::cvec residual;
+    dt::detection_result out;
+    EXPECT_THROW(dt::assemble_result_into(inst, std::vector<double>(3, 1.0), 0, residual, out),
                  std::invalid_argument);
 }
 

@@ -13,6 +13,7 @@
 #include "fec/conv.h"
 #include "fec/interleaver.h"
 #include "paths/registry.h"
+#include "paths/workspace.h"
 #include "util/rng.h"
 #include "wireless/mimo.h"
 #include "wireless/soft.h"
@@ -278,7 +279,8 @@ TEST(FecLlrContract, NoiselessInstancesStillProduceFiniteLlrs) {
     const auto instance = wireless::synthesize(rng, mimo);
 
     std::vector<double> llrs;
-    wireless::flip_recost_llrs_into(instance, instance.tx_bits, llrs);
+    wireless::recost_scratch recost;
+    wireless::flip_recost_llrs_into(instance, instance.tx_bits, recost, llrs);
     ASSERT_EQ(llrs.size(), instance.tx_bits.size());
     for (const double l : llrs) {
         EXPECT_TRUE(std::isfinite(l));
@@ -288,7 +290,8 @@ TEST(FecLlrContract, NoiselessInstancesStillProduceFiniteLlrs) {
     // The linear path's post-equalisation soft output on the same instance.
     const auto zf = paths::registry::make("zf");
     util::rng solve_rng(29);
-    const paths::path_context ctx{instance, nullptr, solve_rng, nullptr};
+    paths::workspace ws;
+    const paths::path_context ctx{instance, nullptr, solve_rng, &ws};
     auto det = zf->run(ctx);
     zf->soft_output(ctx, det);
     ASSERT_EQ(det.llrs.size(), instance.tx_bits.size());

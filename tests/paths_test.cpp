@@ -7,12 +7,14 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 
 #include "detect/transform.h"
 #include "link/link_sim.h"
 #include "paths/registry.h"
+#include "paths/workspace.h"
 #include "qubo/generator.h"
 #include "wireless/mimo.h"
 
@@ -218,12 +220,14 @@ TEST(Registry, DuplicateRegistrationIsRejected) {
 /// extension recipe from docs/ARCHITECTURE.md end to end.
 class all_zero_path final : public pt::detection_path {
 public:
-    [[nodiscard]] pt::path_result run(const pt::path_context& ctx) const override {
-        pt::path_result out;
-        out.bits.assign(ctx.instance.num_bits(), 0);
-        out.ml_cost = ctx.instance.ml_cost_bits(out.bits);
-        out.stages = {{"detect", 0.0}};
-        return out;
+    void run_block(std::span<const pt::path_context> ctxs,
+                   std::span<pt::path_result> out) const override {
+        pt::check_block(ctxs, out);
+        for (std::size_t i = 0; i < ctxs.size(); ++i) {
+            out[i].bits.assign(ctxs[i].instance.num_bits(), 0);
+            out[i].ml_cost = ctxs[i].instance.ml_cost_bits(out[i].bits);
+            out[i].stages = {{"detect", 0.0}};
+        }
     }
     [[nodiscard]] std::string name() const override { return "Zero"; }
     [[nodiscard]] pt::path_spec spec() const override { return {"zero", {}}; }
@@ -348,8 +352,29 @@ TEST(Registry, QuboPathRejectsMissingReduction) {
         hcq::wireless::noiseless_paper_instance(rng, 2, hcq::wireless::modulation::qpsk);
     const auto path = pt::registry::make("sa:reads=1,sweeps=5");
     hcq::util::rng solve_rng(32);
-    const pt::path_context ctx{instance, nullptr, solve_rng};
+    pt::workspace ws;
+    const pt::path_context ctx{instance, nullptr, solve_rng, &ws};
     EXPECT_THROW((void)path->run(ctx), std::invalid_argument);
+}
+
+TEST(Registry, NullWorkspaceThrows) {
+    // The workspace is mandatory: every built-in family rejects a context
+    // without one, through run and run_block alike.
+    hcq::util::rng rng(33);
+    const auto instance =
+        hcq::wireless::noiseless_paper_instance(rng, 2, hcq::wireless::modulation::qpsk);
+    const auto mq = hcq::detect::ml_to_qubo(instance);
+    for (const char* spec : {"zf", "kbest", "sa:reads=1,sweeps=5", "gsra:reads=1"}) {
+        SCOPED_TRACE(spec);
+        const auto path = pt::registry::make(std::string(spec));
+        hcq::util::rng solve_rng(34);
+        const pt::path_context ctx{instance, &mq, solve_rng, nullptr};
+        EXPECT_THROW((void)path->run(ctx), std::invalid_argument);
+        pt::path_result out;
+        EXPECT_THROW(path->run_block(std::span<const pt::path_context>(&ctx, 1),
+                                     std::span<pt::path_result>(&out, 1)),
+                     std::invalid_argument);
+    }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "detect/transform.h"
 #include "qubo/brute_force.h"
@@ -15,10 +16,20 @@ namespace {
 namespace wl = hcq::wireless;
 using wl::modulation;
 
+// gtest prints a parameter that has no printer as its raw bytes, and CTest
+// names each case after that print. `name_tag` fills the four bytes after
+// `mod` that were once padding: their indeterminate contents (leftover stack
+// bytes that moved with address-space randomisation) made the case names
+// change from run to run. Pinning them keeps each case's name stable and equal
+// to the name the suite has been listed under. The tests never read it.
 struct transform_case {
     modulation mod;
+    std::uint32_t name_tag;
     std::size_t users;
 };
+
+constexpr std::uint32_t kTagZero = 0;
+constexpr std::uint32_t kTag7fff = 0x7FFF;
 
 class TransformExactness
     : public ::testing::TestWithParam<transform_case> {};
@@ -68,11 +79,15 @@ TEST_P(TransformExactness, NoisyInstanceStillExact) {
 
 INSTANTIATE_TEST_SUITE_P(
     ModulationsAndSizes, TransformExactness,
-    ::testing::Values(transform_case{modulation::bpsk, 1}, transform_case{modulation::bpsk, 4},
-                      transform_case{modulation::bpsk, 12}, transform_case{modulation::qpsk, 2},
-                      transform_case{modulation::qpsk, 6}, transform_case{modulation::qam16, 2},
-                      transform_case{modulation::qam16, 5}, transform_case{modulation::qam64, 2},
-                      transform_case{modulation::qam64, 3}));
+    ::testing::Values(transform_case{modulation::bpsk, kTag7fff, 1},
+                      transform_case{modulation::bpsk, kTagZero, 4},
+                      transform_case{modulation::bpsk, kTag7fff, 12},
+                      transform_case{modulation::qpsk, kTag7fff, 2},
+                      transform_case{modulation::qpsk, kTagZero, 6},
+                      transform_case{modulation::qam16, kTagZero, 2},
+                      transform_case{modulation::qam16, kTag7fff, 5},
+                      transform_case{modulation::qam64, kTagZero, 2},
+                      transform_case{modulation::qam64, kTag7fff, 3}));
 
 TEST(Transform, GroundStateIsTransmittedBitsByBruteForce) {
     hcq::util::rng rng(404);
