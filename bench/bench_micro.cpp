@@ -4,6 +4,8 @@
 // initialiser tradeoff).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+
 #include "classical/greedy.h"
 #include "classical/metropolis.h"
 #include "core/device.h"
@@ -132,6 +134,36 @@ void bm_detector_sphere_noiseless(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_detector_sphere_noiseless);
+
+// Derived-stream costs of util::rng: a stream nobody draws from, a stream's
+// first draw (seeding plus one twist), and one full state block of draws.
+void bm_rng_derive(benchmark::State& state) {
+    const hcq::util::rng base(17);
+    std::uint64_t stream = 0;
+    for (auto _ : state) {
+        hcq::util::rng r = base.derive(stream++);
+        benchmark::DoNotOptimize(r);
+    }
+}
+BENCHMARK(bm_rng_derive);
+
+void bm_rng_derive_first_draw(benchmark::State& state) {
+    const hcq::util::rng base(17);
+    std::uint64_t stream = 0;
+    for (auto _ : state) {
+        hcq::util::rng r = base.derive(stream++);
+        benchmark::DoNotOptimize(r());
+    }
+}
+BENCHMARK(bm_rng_derive_first_draw);
+
+void bm_rng_steady_draws(benchmark::State& state) {
+    hcq::util::rng r(17);
+    for (auto _ : state) {
+        for (int i = 0; i < 312; ++i) benchmark::DoNotOptimize(r());
+    }
+}
+BENCHMARK(bm_rng_steady_draws);
 
 }  // namespace
 

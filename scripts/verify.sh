@@ -8,7 +8,8 @@
 #            -fsanitize=thread and run them (proves the parallel runner,
 #            thread pool, bounded-buffer pipeline, and link simulator
 #            race-free)
-#   --asan   additionally build the detection/link/hybrid suites with
+#   --asan   additionally build the detection/link/hybrid suites and the
+#            util suite (the lazily seeded rng's copies) with
 #            -fsanitize=address,undefined and run them (mirrors the CI
 #            asan job)
 #   --lint   additionally run the repo contract linter (scripts/hcq_lint.py)
@@ -89,11 +90,11 @@ fi
 if [[ $run_asan -eq 1 ]]; then
     dir="build-asan"
     [[ $clean -eq 1 ]] && rm -rf "$dir"
-    echo "== ASan+UBSan: detection paths + link simulator + hybrid solver + ARQ + FEC + serve =="
+    echo "== ASan+UBSan: detection paths + link simulator + hybrid solver + ARQ + FEC + serve + rng =="
     cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHCQ_SANITIZE=address \
         -DHCQ_BUILD_EXAMPLES=OFF -DHCQ_BUILD_BENCHES=OFF
     cmake --build "$dir" -j "$jobs" --target paths_test link_test hybrid_test arq_test \
-        fec_test serve_test workspace_test
+        fec_test serve_test workspace_test util_test
     "$dir/tests/paths_test"
     "$dir/tests/link_test"
     "$dir/tests/hybrid_test"
@@ -101,6 +102,7 @@ if [[ $run_asan -eq 1 ]]; then
     "$dir/tests/fec_test"
     "$dir/tests/serve_test"
     "$dir/tests/workspace_test"
+    "$dir/tests/util_test"
 fi
 
 if [[ $run_tidy -eq 1 ]]; then

@@ -17,10 +17,33 @@ constexpr std::uint64_t splitmix64(std::uint64_t x) {
 
 }  // namespace
 
-rng::rng(std::uint64_t seed) : seed_(seed), engine_(seed) {}
+void detail::mt19937_64::refill() noexcept {
+    // The std::mersenne_twister_engine parameters of mt19937_64.
+    constexpr std::size_t m = 156;
+    constexpr result_type a = 0xb5026f5aa96619e9ULL;
+    constexpr result_type upper = ~result_type{0} << 31;
+    constexpr result_type lower = ~upper;
+    if (pos_ > n) {
+        x_[0] = seed_;
+        for (std::size_t i = 1; i < n; ++i) {
+            x_[i] = 6364136223846793005ULL * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+        }
+    }
+    // Branchless twist: the mask replaces `(y & 1) ? a : 0`, whose branch on a
+    // random bit mispredicts about half the time.
+    const auto mix = [](result_type y) { return (y >> 1) ^ ((0 - (y & 1)) & a); };
+    for (std::size_t k = 0; k < n - m; ++k) {
+        x_[k] = x_[k + m] ^ mix((x_[k] & upper) | (x_[k + 1] & lower));
+    }
+    for (std::size_t k = n - m; k < n - 1; ++k) {
+        x_[k] = x_[k + m - n] ^ mix((x_[k] & upper) | (x_[k + 1] & lower));
+    }
+    x_[n - 1] = x_[m - 1] ^ mix((x_[n - 1] & upper) | (x_[0] & lower));
+    pos_ = 0;
+}
 
 rng rng::derive(std::uint64_t stream_id) const {
-    return rng(splitmix64(seed_ ^ splitmix64(stream_id + 1)));
+    return rng(splitmix64(seed() ^ splitmix64(stream_id + 1)));
 }
 
 double rng::uniform(double lo, double hi) {

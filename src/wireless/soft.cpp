@@ -1,12 +1,28 @@
 #include "wireless/soft.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
 
 namespace hcq::wireless {
+
+namespace {
+
+/// Every constellation point of `mod` in natural-map pattern order, MSB-first
+/// (wireless::constellation, i.e. modulate_symbol of each pattern); the tables
+/// of all four modulations are built once, on first use.  Pattern p carries
+/// bit b as (p >> (bps - 1 - b)) & 1.
+const std::vector<cxd>& constellation_table(modulation mod) {
+    static const std::array<std::vector<cxd>, 4> tables{
+        constellation(modulation::bpsk), constellation(modulation::qpsk),
+        constellation(modulation::qam16), constellation(modulation::qam64)};
+    return tables.at(static_cast<std::size_t>(mod));
+}
+
+}  // namespace
 
 double clamp_llr(double llr) noexcept {
     if (std::isnan(llr)) return 0.0;
@@ -30,21 +46,15 @@ void symbol_llrs_into(modulation mod, linalg::cxd equalized, double noise_varian
     if (out.size() != bps) throw std::invalid_argument("symbol_llrs: wrong output length");
     double min0[8];  // bits_per_symbol is at most 6
     double min1[8];
-    std::uint8_t pattern_bits[8];
     for (std::size_t b = 0; b < bps; ++b) {
         min0[b] = std::numeric_limits<double>::infinity();
         min1[b] = std::numeric_limits<double>::infinity();
     }
-    // Every constellation point in natural-map pattern order, MSB-first
-    // (the order of wireless::constellation), modulated on the stack.
-    for (std::size_t pattern = 0; pattern < (std::size_t{1} << bps); ++pattern) {
+    const std::vector<cxd>& points = constellation_table(mod);
+    for (std::size_t pattern = 0; pattern < points.size(); ++pattern) {
+        const double dist = std::norm(equalized - points[pattern]);
         for (std::size_t b = 0; b < bps; ++b) {
-            pattern_bits[b] = static_cast<std::uint8_t>((pattern >> (bps - 1 - b)) & 1U);
-        }
-        const cxd point = modulate_symbol(mod, std::span<const std::uint8_t>(pattern_bits, bps));
-        const double dist = std::norm(equalized - point);
-        for (std::size_t b = 0; b < bps; ++b) {
-            const bool bit = pattern_bits[b] != 0;
+            const bool bit = ((pattern >> (bps - 1 - b)) & 1U) != 0;
             auto& best = bit ? min1[b] : min0[b];
             best = std::min(best, dist);
         }

@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <numbers>
+#include <random>  // hcq-lint: allow(raw-rng) the std engine and distributions are the reference the in-tree engine must equal
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "util/cli.h"
 #include "util/rng.h"
@@ -151,6 +157,121 @@ TEST(Rng, ShufflePreservesElements) {
     std::multiset<int> a(v.begin(), v.end());
     std::multiset<int> b(w.begin(), w.end());
     EXPECT_EQ(a, b);
+}
+
+// --- bit identity with std::mt19937_64 --------------------------------------
+
+// The reference the in-tree engine is pinned against.
+using reference_engine = std::mt19937_64;  // hcq-lint: allow(raw-rng) bit-identity reference
+
+// 1100 draws cross three state refills (312 words each) plus a partial block.
+constexpr int kIdentityDraws = 1100;
+
+// Draws from `r` itself (not a copy) and from a copy of `ref`.
+void expect_same_raw_output(rng& r, reference_engine ref, int draws) {
+    for (int i = 0; i < draws; ++i) {
+        ASSERT_EQ(r(), ref()) << "draw " << i;
+    }
+}
+
+TEST(Rng, MatchesStdMt19937_64) {
+    for (const std::uint64_t seed :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{42}, std::uint64_t{0x9e3779b97f4a7c15ULL},
+          ~std::uint64_t{0}}) {
+        SCOPED_TRACE(seed);
+        rng root(seed);
+        expect_same_raw_output(root, reference_engine(seed), kIdentityDraws);
+        rng derived = rng(seed).derive(5);
+        expect_same_raw_output(derived, reference_engine(derived.seed()), kIdentityDraws);
+        rng chained = rng(seed).derive(3).derive(11);
+        expect_same_raw_output(chained, reference_engine(chained.seed()), kIdentityDraws);
+    }
+    rng fallback;
+    expect_same_raw_output(fallback, reference_engine(fallback.seed()), kIdentityDraws);
+    EXPECT_EQ(rng::min(), reference_engine::min());
+    EXPECT_EQ(rng::max(), reference_engine::max());
+    static_assert(std::is_same_v<rng::result_type, reference_engine::result_type>);
+}
+
+TEST(Rng, CopiesContinueIdentically) {
+    // Copies taken before the first draw, mid-block, at a block boundary
+    // (the state exhausted, the next draw twists) and in a later block.
+    for (const int drawn : {0, 1, 100, 311, 312, 313, 624}) {
+        SCOPED_TRACE(drawn);
+        rng r = rng(17).derive(2);
+        reference_engine ref(r.seed());
+        for (int i = 0; i < drawn; ++i) ASSERT_EQ(r(), ref());
+        rng copied(r);
+        rng assigned(99);
+        (void)assigned();  // seeded target: assignment must replace its state
+        assigned = r;
+        expect_same_raw_output(copied, ref, kIdentityDraws);
+        expect_same_raw_output(assigned, ref, kIdentityDraws);
+        expect_same_raw_output(r, ref, kIdentityDraws);
+    }
+    // Assigning an unseeded generator over a drawn one makes it unseeded again.
+    rng drawn(5);
+    for (int i = 0; i < 400; ++i) (void)drawn();
+    drawn = rng(8).derive(1).derive(2);
+    expect_same_raw_output(drawn, reference_engine(rng(8).derive(1).derive(2).seed()),
+                           kIdentityDraws);
+    rng self(6);
+    (void)self();
+    const rng& alias = self;
+    self = alias;
+    reference_engine self_ref(6);
+    (void)self_ref();
+    expect_same_raw_output(self, self_ref, kIdentityDraws);
+}
+
+TEST(Rng, DistributionsMatchStdOverMt19937_64) {
+    const rng base = rng(23).derive(4);
+    const auto fresh = [&] { return std::pair{base, reference_engine(base.seed())}; };
+    {
+        auto [r, ref] = fresh();
+        for (int i = 0; i < kIdentityDraws; ++i) {
+            ASSERT_EQ(r.uniform(), std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+            ASSERT_EQ(r.uniform(-2.5, 7.0), std::uniform_real_distribution<double>(-2.5, 7.0)(ref));
+            ASSERT_EQ(r.angle(),
+                      std::uniform_real_distribution<double>(0.0, 2.0 * std::numbers::pi)(ref));
+        }
+    }
+    {
+        auto [r, ref] = fresh();
+        for (int i = 0; i < kIdentityDraws; ++i) {
+            ASSERT_EQ(r.normal(), std::normal_distribution<double>(0.0, 1.0)(ref));
+            ASSERT_EQ(r.normal(3.0, 0.5), std::normal_distribution<double>(3.0, 0.5)(ref));
+        }
+    }
+    {
+        auto [r, ref] = fresh();
+        for (int i = 0; i < kIdentityDraws; ++i) {
+            const auto n = static_cast<std::size_t>(1 + i % 37);
+            ASSERT_EQ(r.uniform_index(n), std::uniform_int_distribution<std::size_t>(0, n - 1)(ref));
+            ASSERT_EQ(r.uniform_int(-9, 40), std::uniform_int_distribution<std::int64_t>(-9, 40)(ref));
+            const double p = 0.001 * (i % 1000);
+            ASSERT_EQ(r.bernoulli(p), std::bernoulli_distribution(p)(ref));
+        }
+    }
+    {
+        auto [r, ref] = fresh();
+        std::vector<std::uint8_t> bits;
+        r.bits_into(kIdentityDraws, bits);
+        for (int i = 0; i < kIdentityDraws; ++i) {
+            ASSERT_EQ(bits[static_cast<std::size_t>(i)], static_cast<std::uint8_t>(ref() & 1ULL));
+        }
+    }
+    {
+        auto [r, ref] = fresh();
+        std::vector<int> got(700);
+        for (std::size_t i = 0; i < got.size(); ++i) got[i] = static_cast<int>(i);
+        std::vector<int> want = got;
+        r.shuffle(got);
+        for (std::size_t i = want.size(); i > 1; --i) {
+            std::swap(want[i - 1], want[std::uniform_int_distribution<std::size_t>(0, i - 1)(ref)]);
+        }
+        EXPECT_EQ(got, want);
+    }
 }
 
 TEST(ThreadPool, ExecutesAllTasks) {
