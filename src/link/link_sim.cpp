@@ -90,18 +90,38 @@ replay_setup build_replay(const path_report& path, const link_config& config) {
     return setup;
 }
 
-pipeline::simulation_result replay_traces(const path_report& path, const link_config& config) {
+/// Replays one path's measured traces: open loop, then — with ARQ on —
+/// closed loop over the same replay setup.  Touches only `path` and seeds
+/// its own streams, so paths replay concurrently.
+void replay_path(path_report& path, const link_config& config) {
     const replay_setup setup = build_replay(path, config);
     util::rng arrivals_rng(config.seed);  // unused by deterministic arrivals
-    return pipeline::simulate(setup.stages, config.num_uses,
-                              {.interarrival_us = setup.interarrival_us}, arrivals_rng,
-                              setup.options);
+    path.replay = pipeline::simulate(setup.stages, config.num_uses,
+                                     {.interarrival_us = setup.interarrival_us}, arrivals_rng,
+                                     setup.options);
+    if (!config.arq) return;
+    // Closed-loop replay: same stages and pacing as the open-loop replay,
+    // with failed frames re-entering the chain.  `auto` deadlines resolve to
+    // the open-loop replay's p99 — the ARQ loop driven by the replay's own
+    // latency budget.  With FEC on, the measured attempt_error_rate is
+    // frame-based while the replayed jobs are still per-use attempts — a
+    // documented approximation (the coded frame's uses share fate).
+    arq_path_report& ar = *path.arq;
+    const double resolved_deadline_us =
+        config.arq->deadline_auto ? path.replay.p99_latency_us : config.arq->deadline_us;
+    util::rng replay_rng(config.seed);
+    auto closed = arq::closed_loop_replay(
+        setup.stages, config.num_uses, ar.counters.attempt_error_rate(), resolved_deadline_us,
+        config.arq->max_retx, {.interarrival_us = setup.interarrival_us}, replay_rng,
+        setup.options);
+    ar.replay_stats = closed.stats;
+    ar.closed_replay = std::move(closed.replay);
 }
 
 /// Everything one pool worker reuses across windows: its detection
 /// workspace, its retransmission chain with both decode steps, the
 /// zero-padded coded bits of one use, and the solve streams and contexts of
-/// one detection chunk.  Holds no statistic: which worker runs a cell never
+/// one claimed run of uses.  Holds no statistic: which worker runs a cell never
 /// changes what the cell computes.
 struct link_worker {
     link_worker(const retx_setup& setup, const link_config& config, std::size_t bits_per_use)
@@ -268,19 +288,21 @@ link_report run_link_simulation(const link_config& config) {
             std::to_string(bits_per_use) + " bits per use");
     }
 
-    // The stream is processed in fixed-size windows, each in three phases
-    // with a barrier between them: (A) synthesise every use and build the
-    // shared QUBO reductions block-at-a-time (per coded FRAME when FEC is
-    // on: the frame's info bits are drawn, encoded, and spread over its
-    // uses), (B) run every (path, use) detection cell batched through
-    // detection_path::run_block — plus the explicit soft_output call when
-    // FEC is on — and (C) decode every (frame, path) and run its
-    // retransmission chain (link/retx_chain.h) when FEC or ARQ is on.
-    // Workers fill disjoint slots in parallel, then the window is folded
-    // serially in use order into the constant-size aggregates above.  All
-    // buffers below persist across windows, so after the first window the
-    // steady state reuses their capacity; peak memory is
-    // O(stream_block x paths), independent of num_uses.
+    // The stream is processed in fixed-size windows, each in two parallel
+    // regions.  (1) One region of fused tasks: a task claims a run of whole
+    // frames and, on one worker, synthesises them and builds their shared
+    // QUBO reductions (per coded FRAME when FEC is on: the frame's info bits
+    // are drawn, encoded, and spread over its uses), detects them on every
+    // path through detection_path::run_block — plus the explicit
+    // soft_output call when FEC is on — and decodes every (frame, path) and
+    // runs its retransmission chain (link/retx_chain.h) when FEC or ARQ is
+    // on, so a channel use is made and consumed in one core's cache.  Tasks
+    // fill disjoint slots.  (2) The fold: one task per path folds that
+    // path's column of the window in use order into the constant-size
+    // aggregates above, and one more task folds the shared synthesis and
+    // reduction traces.  All buffers below persist across windows, so after
+    // the first window the steady state reuses their capacity; peak memory
+    // is O(stream_block x paths), independent of num_uses.
     std::size_t block = std::min(config.stream_block, config.num_uses);
     if (coded) {
         // Whole frames per window: round the block down to a frame multiple
@@ -297,7 +319,7 @@ link_report run_link_simulation(const link_config& config) {
     std::vector<double> reduce_us(block, 0.0);
     std::vector<paths::path_result> cells(num_paths * block);  // path-major: [p * block + i]
     // Per-frame info/coded bits of the coded link (shared by every path) and
-    // the path-major per-frame outcome cells of phase C.
+    // the path-major per-frame outcome cells of the retransmission chains.
     std::vector<qubo::bit_vector> frame_info(coded ? frames_per_block : 0);
     std::vector<qubo::bit_vector> frame_coded(coded ? frames_per_block : 0);
     std::vector<frame_outcome> frame_cells(chained ? num_paths * frames_per_block : 0);
@@ -323,7 +345,7 @@ link_report run_link_simulation(const link_config& config) {
                           .uses_per_frame = uses_per_frame,
                           .arq = config.arq};
 
-    // Per-path length of the error run currently open in the serial fold —
+    // Per-path length of the error run currently open in path p's fold —
     // carried across windows so burst statistics are stream_block-invariant.
     std::vector<std::uint64_t> error_run(num_paths, 0);
 
@@ -335,44 +357,57 @@ link_report run_link_simulation(const link_config& config) {
     std::vector<std::unique_ptr<link_worker>> workers(pool ? pool->size() : 1);
     for (auto& worker : workers) worker = std::make_unique<link_worker>(retx, config, bits_per_use);
 
-    // Batched detection granularity: run_block amortises per-call overhead
-    // over a chunk of uses while leaving enough tasks per window for the
-    // pool to balance.  Pure scheduling — every cell still draws from its
-    // globally-indexed stream, so the chunk size affects no statistic.
-    constexpr std::size_t run_chunk = 64;
-
-    // Runs task(worker, i) for every i in [0, count).  Each pool worker
-    // claims contiguous index ranges off a shared counter — about eight
-    // ranges per worker, so uneven cells (an ARQ-heavy stretch) still
-    // balance — and runs them on its own link_worker.  Pure scheduling:
-    // every slot is indexed globally, so no statistic depends on it.
-    const auto run_all = [&](std::size_t count, const auto& task) {
+    // Runs task(worker, lo, hi) over consecutive claims [lo, hi) that cover
+    // [0, count) exactly once.  A claim is `unit` items until the tail,
+    // where claims shrink to remaining / (2 x workers) items (at least one),
+    // so the window drains in small pieces instead of leaving a worker idle
+    // behind one large unit.  Each pool worker claims off a shared counter
+    // and runs its claims on its own link_worker.  Pure scheduling: every
+    // slot is indexed globally, so no statistic depends on it.  A task that
+    // throws ends its worker's loop; the others drain the rest and
+    // wait_idle rethrows on the calling thread.
+    const auto run_claims = [&](std::size_t count, std::size_t unit, const auto& task) {
+        const std::size_t spread = 2 * workers.size();
+        const auto claim_end = [&](std::size_t lo) {
+            return lo + std::clamp<std::size_t>((count - lo) / spread, 1, unit);
+        };
         if (!pool || count < 2) {
-            for (std::size_t i = 0; i < count; ++i) task(*workers[0], i);
+            for (std::size_t lo = 0, hi = 0; lo < count; lo = hi) {
+                hi = claim_end(lo);
+                task(*workers[0], lo, hi);
+            }
             return;
         }
-        const std::size_t range = std::max<std::size_t>(1, count / (8 * workers.size()));
         std::atomic<std::size_t> next{0};
         for (auto& worker : workers) {
-            pool->submit([&task, &next, count, range, w = worker.get()] {
-                for (std::size_t lo = next.fetch_add(range); lo < count;
-                     lo = next.fetch_add(range)) {
-                    const std::size_t hi = std::min(count, lo + range);
-                    for (std::size_t i = lo; i < hi; ++i) task(*w, i);
+            pool->submit([&, w = worker.get()] {
+                std::size_t lo = next.load();
+                while (lo < count) {
+                    const std::size_t hi = claim_end(lo);
+                    if (next.compare_exchange_weak(lo, hi)) {
+                        task(*w, lo, hi);
+                        lo = next.load();
+                    }
                 }
             });
         }
         pool->wait_idle();
     };
+    // The fused unit: about window / (32 x workers) uses, enough claims per
+    // worker to balance an ARQ-heavy stretch, capped at 64 uses so a claim's
+    // uses stay cache-resident, and never less than one whole frame.
+    const auto frame_unit = [&](std::size_t window) {
+        const std::size_t uses = std::min<std::size_t>(64, window / (32 * workers.size()));
+        return std::max<std::size_t>(1, uses / uses_per_frame);
+    };
 
     for (std::size_t base = 0; base < config.num_uses; base += block) {
         const std::size_t window = std::min(block, config.num_uses - base);
         const std::size_t window_frames = window / uses_per_frame;
-        // Phase A: synthesise the channel uses (channel draw + modulation)
-        // and build the shared QUBO reductions (QuAMax transform)
-        // block-at-a-time.  The reduction is shared by the QUBO-based paths
-        // and skipped — trace stays zero — when only conventional detectors
-        // are configured.
+        // Synthesise one channel use (channel draw + modulation) and build
+        // its shared QUBO reduction (QuAMax transform).  The reduction is
+        // shared by the QUBO-based paths and skipped — trace stays zero —
+        // when only conventional detectors are configured.
         const auto synth_use = [&](link_worker& w, std::size_t i,
                                    std::span<const std::uint8_t> use_bits) {
             const std::size_t u = base + i;
@@ -395,7 +430,7 @@ link_report run_link_simulation(const link_config& config) {
                 reduce_us[i] = reduce_clock.elapsed_us();
             }
         };
-        // Phase A works frame-at-a-time.  A coded frame draws its
+        // Synthesis works frame-at-a-time.  A coded frame draws its
         // information bits from the dedicated fec stream (indexed by GLOBAL
         // frame), encodes + interleaves them once, then synthesises its uses
         // with the coded bits overriding the (still consumed) uniform tx-bit
@@ -415,41 +450,36 @@ link_report run_link_simulation(const link_config& config) {
                 synth_use(w, fi * uses_per_frame + j, w.use_bits);
             }
         };
-        run_all(window_frames, synth_frame);
-
-        // Phase B: every configured path detects every use, batched through
-        // run_block in chunks.  Each (use, path) cell draws from its own
-        // derived stream indexed by the GLOBAL use index, so statistics do
-        // not depend on the window size, the chunking, or which worker —
-        // and hence which workspace — runs a given chunk.
-        const std::size_t chunks_per_path = (window + run_chunk - 1) / run_chunk;
-        const auto detect_chunk = [&](link_worker& w, std::size_t task) {
-            const std::size_t p = task / chunks_per_path;
-            const std::size_t c0 = (task % chunks_per_path) * run_chunk;
-            const std::size_t n = std::min(run_chunk, window - c0);
+        // Every configured path detects the uses [i0, i0 + n), batched
+        // through one run_block call per path.  Each (use, path) cell draws
+        // from its own derived stream indexed by the GLOBAL use index, so
+        // statistics do not depend on the window size, the claim size, or
+        // which worker — and hence which workspace — runs a given claim.
+        const auto detect_uses = [&](link_worker& w, std::size_t i0, std::size_t n) {
             w.rngs.resize(n);
-            w.ctxs.clear();  // keeps capacity across chunks
-            for (std::size_t j = 0; j < n; ++j) {
-                w.rngs[j] = solve_base.derive((base + c0 + j) * num_paths + p);
-                w.ctxs.push_back({instances[c0 + j], needs_qubo ? &mqs[c0 + j] : nullptr,
-                                  w.rngs[j], &w.ws});
-            }
-            const auto out = std::span<paths::path_result>(cells).subspan(p * block + c0, n);
-            paths[p]->run_block(w.ctxs, out);
-            if (coded) {
-                // The coded link needs soft information: the explicit opt-in
-                // second call of the path API, on the same contexts the hard
-                // run saw.  Deterministic and workspace-independent by the
-                // soft_output contract, so LLRs inherit the invariances.
-                for (std::size_t j = 0; j < n; ++j) paths[p]->soft_output(w.ctxs[j], out[j]);
+            for (std::size_t p = 0; p < num_paths; ++p) {
+                w.ctxs.clear();  // keeps capacity across claims
+                for (std::size_t j = 0; j < n; ++j) {
+                    w.rngs[j] = solve_base.derive((base + i0 + j) * num_paths + p);
+                    w.ctxs.push_back({instances[i0 + j], needs_qubo ? &mqs[i0 + j] : nullptr,
+                                      w.rngs[j], &w.ws});
+                }
+                const auto out = std::span<paths::path_result>(cells).subspan(p * block + i0, n);
+                paths[p]->run_block(w.ctxs, out);
+                if (coded) {
+                    // The coded link needs soft information: the explicit
+                    // opt-in second call of the path API, on the same
+                    // contexts the hard run saw.  Deterministic and
+                    // workspace-independent by the soft_output contract, so
+                    // LLRs inherit the invariances.
+                    for (std::size_t j = 0; j < n; ++j) paths[p]->soft_output(w.ctxs[j], out[j]);
+                }
             }
         };
-        run_all(num_paths * chunks_per_path, detect_chunk);
-
-        // Phase C (FEC or ARQ): decode every (frame, path) — a bits
-        // comparison uncoded, a soft-Viterbi decode coded — and run its
-        // retransmission chain.  The chain memoises each retransmitted use
-        // across the frame's paths, so one task runs all paths of a frame.
+        // With FEC or ARQ on, decode every (frame, path) — a bits comparison
+        // uncoded, a soft-Viterbi decode coded — and run its retransmission
+        // chain.  The chain memoises each retransmitted use across the
+        // frame's paths, so one worker runs all paths of a frame.
         const auto chain_frame = [&](link_worker& w, std::size_t fi) {
             const std::size_t i0 = fi * uses_per_frame;
             w.chain.begin_frame(base + i0, coded ? std::span<const std::uint8_t>(frame_coded[fi])
@@ -469,16 +499,20 @@ link_report run_link_simulation(const link_config& config) {
                             *decoder, w.ws, outcome);
             }
         };
-        if (chained) run_all(window_frames, chain_frame);
+        // Region 1: the fused tasks, one claimed run of frames each.
+        run_claims(window_frames, frame_unit(window),
+                   [&](link_worker& w, std::size_t f_lo, std::size_t f_hi) {
+                       for (std::size_t fi = f_lo; fi < f_hi; ++fi) synth_frame(w, fi);
+                       detect_uses(w, f_lo * uses_per_frame, (f_hi - f_lo) * uses_per_frame);
+                       for (std::size_t fi = f_lo; chained && fi < f_hi; ++fi) chain_frame(w, fi);
+                   });
 
-        // Serial aggregation in use order: the merged statistics never
-        // depend on the scheduling order above.
-        for (std::size_t i = 0; i < window; ++i) {
-            report.synthesis.add(synth_us[i]);
-            report.reduction.add(reduce_us[i]);
-            const qubo::bit_vector& tx_bits = instances[i].tx_bits;
-            for (std::size_t p = 0; p < num_paths; ++p) {
-                path_report& path = report.paths[p];
+        // Path p's fold, in use order and then in frame order: every
+        // statistic of the path depends only on its own column, so the paths
+        // fold concurrently and each stays scheduling-independent.
+        const auto fold_path = [&](std::size_t p) {
+            path_report& path = report.paths[p];
+            for (std::size_t i = 0; i < window; ++i) {
                 const paths::path_result& cell = cells[p * block + i];
                 if (cell.stages.size() != solve_stages[p].size()) {
                     throw std::logic_error("link: path '" + path.spec + "' returned " +
@@ -486,6 +520,7 @@ link_report run_link_simulation(const link_config& config) {
                                            " stage timings but declared " +
                                            std::to_string(solve_stages[p].size()));
                 }
+                const qubo::bit_vector& tx_bits = instances[i].tx_bits;
                 path.ber.add_frame(tx_bits, cell.bits);
                 if (cell.bits == tx_bits) {
                     ++path.exact_frames;
@@ -493,8 +528,7 @@ link_report run_link_simulation(const link_config& config) {
                 } else {
                     ++path.bursts.error_frames;
                     if (++error_run[p] == 1) ++path.bursts.bursts;
-                    path.bursts.longest_burst =
-                        std::max(path.bursts.longest_burst, error_run[p]);
+                    path.bursts.longest_burst = std::max(path.bursts.longest_burst, error_run[p]);
                 }
                 path.sum_ml_cost += cell.ml_cost;
 
@@ -510,13 +544,10 @@ link_report run_link_simulation(const link_config& config) {
                 }
                 path.service.add(service_sum);
             }
-        }
-        // Frame fold, serial in frame order: attempt-0 decode statistics of
-        // the coded link and the ARQ counters (at frame granularity when
-        // coded, per use when uncoded).
-        for (std::size_t fi = 0; chained && fi < window_frames; ++fi) {
-            for (std::size_t p = 0; p < num_paths; ++p) {
-                path_report& path = report.paths[p];
+            // Attempt-0 decode statistics of the coded link and the ARQ
+            // counters (at frame granularity when coded, per use when
+            // uncoded).
+            for (std::size_t fi = 0; chained && fi < window_frames; ++fi) {
                 const frame_outcome& outcome = frame_cells[p * frames_per_block + fi];
                 if (coded) {
                     ++path.fec->frames;
@@ -531,34 +562,25 @@ link_report run_link_simulation(const link_config& config) {
                     }
                 }
             }
-        }
+        };
+        // Region 2: the fold — one task per path, plus one short pass over
+        // the shared synthesis and reduction traces.
+        run_claims(num_paths + 1, 1, [&](link_worker&, std::size_t task, std::size_t) {
+            if (task < num_paths) {
+                fold_path(task);
+                return;
+            }
+            for (std::size_t i = 0; i < window; ++i) {
+                report.synthesis.add(synth_us[i]);
+                report.reduction.add(reduce_us[i]);
+            }
+        });
     }
 
-    for (std::size_t p = 0; p < num_paths; ++p) {
-        path_report& path = report.paths[p];
-        path.replay = replay_traces(path, config);
-        if (config.arq) {
-            // Closed-loop replay: same stages and pacing as the open-loop
-            // replay, with failed frames re-entering the chain.  `auto`
-            // deadlines resolve to the open-loop replay's p99 — the ARQ
-            // loop driven by the replay's own latency budget.  With FEC on,
-            // the measured attempt_error_rate is frame-based while the
-            // replayed jobs are still per-use attempts — a documented
-            // approximation (the coded frame's uses share fate).
-            arq_path_report& ar = *path.arq;
-            const double resolved_deadline_us = config.arq->deadline_auto
-                                                    ? path.replay.p99_latency_us
-                                                    : config.arq->deadline_us;
-            const replay_setup setup = build_replay(path, config);
-            util::rng replay_rng(config.seed);
-            auto closed = arq::closed_loop_replay(
-                setup.stages, config.num_uses, ar.counters.attempt_error_rate(),
-                resolved_deadline_us, config.arq->max_retx,
-                {.interarrival_us = setup.interarrival_us}, replay_rng, setup.options);
-            ar.replay_stats = closed.stats;
-            ar.closed_replay = std::move(closed.replay);
-        }
-    }
+    // Each path's trace replays, one task per path.
+    run_claims(num_paths, 1, [&](link_worker&, std::size_t p, std::size_t) {
+        replay_path(report.paths[p], config);
+    });
     return report;
 }
 

@@ -20,18 +20,23 @@
 // rates and queue occupancy.
 //
 // Scaling: the stream is processed in fixed-size windows of
-// link_config::stream_block uses — the workers fill one window in parallel,
-// then the statistics are folded serially in use order into constant-size
+// link_config::stream_block uses, each in one parallel region of fused
+// tasks: a task claims a run of whole frames and synthesises, detects (on
+// every path) and runs the retransmission chains of its frames on one
+// worker.  The window is then folded on the same pool, one task per path,
+// each folding its own path's column in use order into constant-size
 // aggregates (exact BER / ML-cost / exact-frame counters plus
-// metrics::latency_digest summaries and a bounded replay sample per stage).
-// Memory is therefore O(stream_block x paths), independent of num_uses —
-// million-use runs are first-class.
+// metrics::latency_digest summaries and a bounded replay sample per stage);
+// the shared synthesis/reduction traces are one short serial pass.  After
+// the last window each path's open- and closed-loop replays run as one pool
+// task per path.  Memory is O(stream_block x paths), independent of
+// num_uses — million-use runs are first-class.
 //
 // Determinism: every channel use draws from an RNG stream derived from
 // (seed, domain, use index) and every (use, path) solve from
 // (seed, domain, use * num_paths + path), following the parallel_runner
 // scheme — the thread pool decides only *when* a cell runs, never *what* it
-// computes, and aggregation is serial in use order.  All link-layer
+// computes, and every path aggregates in use order.  All link-layer
 // statistics (BER, ML costs, exact-frame counts) are therefore bit-identical
 // at any thread count AND any stream_block size; only the measured wall
 // times vary run to run.  The golden-value tests in tests/link_test.cpp pin
@@ -40,9 +45,12 @@
 //
 // Concurrency contract: lock-free steady state by design.  Each pool worker
 // owns its own reusable state (workspace, retransmission chain, codec) and
-// fills disjoint, preallocated per-use slots of the current window; the fold
-// is serial; the only annotated locking on the path is inside
-// util::thread_pool.
+// fills disjoint, preallocated per-use slots of the current window; a fold
+// or replay task writes only its own path_report (or, for the shared pass,
+// only link_report::synthesis and ::reduction) and reads the window's slots
+// after the region that filled them has been waited for; the only annotated
+// locking on the path is inside util::thread_pool, whose wait_idle also
+// rethrows, on the calling thread, the first exception a task raised.
 // TSan (verify.sh --tsan) and the thread-count-invariance tests enforce
 // the contract; see docs/ARCHITECTURE.md, "The determinism contract as
 // enforceable rules".
@@ -163,7 +171,7 @@ struct link_config {
 };
 
 /// Streaming summary of one named processing stage across the stream: exact
-/// count/mean/max, digest-backed p50/p99, and a bounded head sample used to
+/// count/mean/min/max, digest-backed p50/p99, and a bounded head sample used to
 /// replay the stage through the Figure-2 tandem queue.  Memory is fixed
 /// regardless of stream length.
 ///
@@ -200,6 +208,7 @@ public:
     [[nodiscard]] double mean_us() const { return digest_.mean(); }
     [[nodiscard]] double p50_us() const { return digest_.p50(); }
     [[nodiscard]] double p99_us() const { return digest_.p99(); }
+    [[nodiscard]] double min_us() const { return digest_.min(); }
     [[nodiscard]] double max_us() const { return digest_.max(); }
     [[nodiscard]] const std::vector<double>& replay_sample() const noexcept { return sample_; }
 
@@ -210,7 +219,7 @@ private:
     std::vector<double> sample_;
 };
 
-/// Deterministic frame-error burst statistics, folded serially in use order
+/// Deterministic frame-error burst statistics, folded per path in use order
 /// — bit-identical at any thread count and stream_block size, like BER.  A
 /// burst is a maximal run of consecutive channel uses whose detected bits
 /// were wrong.  On an i.i.d. channel bursts stay near geometric (mean

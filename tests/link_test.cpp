@@ -5,7 +5,11 @@
 // semantics, and configuration validation.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "arq/arq.h"
 #include "core/schedule.h"
@@ -749,6 +753,197 @@ TEST(LinkFec, PartialFrameGeometryThrows) {
     auto config = coded_gate_config();
     config.num_uses = 5;  // 4 uses/frame: a partial trailing frame
     EXPECT_THROW((void)lk::run_link_simulation(config), std::invalid_argument);
+}
+
+
+// ---------------------------------------------------------------------------
+// Scheduling: the fused per-window region, the per-path fold and the
+// per-path replays on the pool
+// ---------------------------------------------------------------------------
+
+void expect_same_trace(const lk::stage_trace& got, const lk::stage_trace& want) {
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.min_us(), want.min_us());
+    EXPECT_EQ(got.max_us(), want.max_us());
+    EXPECT_EQ(got.mean_us(), want.mean_us());
+    ASSERT_EQ(got.replay_sample().size(), want.replay_sample().size());
+    for (std::size_t k = 0; k < want.replay_sample().size(); ++k) {
+        EXPECT_EQ(got.replay_sample()[k], want.replay_sample()[k]) << "sample entry " << k;
+    }
+}
+
+TEST(LinkSchedule, EveryPathFoldsTheSharedStagesInUseOrder) {
+    // Every path's synth stage sees the same per-use times as
+    // report.synthesis, in the same order, and every QUBO path's qubo stage
+    // those of report.reduction: a fold that skipped a use, repeated one, or
+    // ran out of use order would change a count, an extremum, a mean's
+    // rounding or a replay-sample entry.
+    auto config = small_config();
+    config.num_uses = 150;
+    config.paths = pt::parse_spec_list("zf,kbest,sa:reads=2,sweeps=10,gsra:reads=4");
+    for (const std::size_t threads : {1UL, 2UL, 8UL}) {
+        for (const std::size_t block : {7UL, 64UL}) {
+            SCOPED_TRACE(std::to_string(threads) + " threads, stream_block " +
+                         std::to_string(block));
+            config.num_threads = threads;
+            config.stream_block = block;
+            const auto report = lk::run_link_simulation(config);
+            EXPECT_EQ(report.synthesis.count(), config.num_uses);
+            for (const auto& path : report.paths) {
+                SCOPED_TRACE(path.spec);
+                ASSERT_EQ(path.stages.at(0).name(), "synth");
+                expect_same_trace(path.stages[0], report.synthesis);
+                if (pt::registry::make(path.spec)->needs_qubo()) {
+                    ASSERT_EQ(path.stages.at(1).name(), "qubo");
+                    expect_same_trace(path.stages[1], report.reduction);
+                }
+            }
+        }
+    }
+}
+
+// Every detection-domain statistic of `got` equals `want`'s, and every
+// stage trace of `got` counted all `num_uses` uses.
+void expect_same_statistics(const lk::link_report& got, const lk::link_report& want,
+                            std::size_t num_uses) {
+    EXPECT_EQ(got.synthesis.count(), num_uses);
+    EXPECT_EQ(got.reduction.count(), num_uses);
+    ASSERT_EQ(got.paths.size(), want.paths.size());
+    for (std::size_t p = 0; p < want.paths.size(); ++p) {
+        const auto& g = got.paths[p];
+        const auto& w = want.paths[p];
+        SCOPED_TRACE(w.spec);
+        EXPECT_EQ(g.ber.errors(), w.ber.errors());
+        EXPECT_EQ(g.ber.total_bits(), w.ber.total_bits());
+        EXPECT_EQ(g.exact_frames, w.exact_frames);
+        EXPECT_EQ(g.bursts.error_frames, w.bursts.error_frames);
+        EXPECT_EQ(g.bursts.bursts, w.bursts.bursts);
+        EXPECT_EQ(g.bursts.longest_burst, w.bursts.longest_burst);
+        EXPECT_EQ(g.sum_ml_cost, w.sum_ml_cost);
+        for (const auto& trace : g.stages) EXPECT_EQ(trace.count(), num_uses) << trace.name();
+        EXPECT_EQ(g.service.count(), num_uses);
+        EXPECT_EQ(g.replay.num_jobs, num_uses);
+        ASSERT_EQ(g.fec.has_value(), w.fec.has_value());
+        if (w.fec) {
+            EXPECT_EQ(g.fec->frames, w.fec->frames);
+            EXPECT_EQ(g.fec->frame_errors, w.fec->frame_errors);
+            EXPECT_EQ(g.fec->info_ber.errors(), w.fec->info_ber.errors());
+        }
+        ASSERT_EQ(g.arq.has_value(), w.arq.has_value());
+        if (w.arq) {
+            const auto& gc = g.arq->counters;
+            const auto& wc = w.arq->counters;
+            EXPECT_EQ(gc.frames, wc.frames);
+            EXPECT_EQ(gc.attempts, wc.attempts);
+            EXPECT_EQ(gc.wrong_attempts, wc.wrong_attempts);
+            EXPECT_EQ(gc.corrected_frames, wc.corrected_frames);
+            EXPECT_EQ(gc.residual_errors, wc.residual_errors);
+            EXPECT_EQ(g.arq->retx_service.count(), gc.retransmissions());
+        }
+    }
+}
+
+TEST(LinkSchedule, FewerUsesThanWorkersMatchesOneThread) {
+    auto config = small_config();
+    config.arq = hcq::arq::parse_arq("deadline_us=0,max_retx=1");
+    for (const std::size_t uses : {1UL, 3UL}) {
+        SCOPED_TRACE(std::to_string(uses) + " uses");
+        config.num_uses = uses;
+        config.num_threads = 1;
+        const auto serial = lk::run_link_simulation(config);
+        config.num_threads = 8;
+        expect_same_statistics(lk::run_link_simulation(config), serial, uses);
+    }
+}
+
+TEST(LinkSchedule, RaggedLastWindowMatchesOneThread) {
+    auto config = small_config();
+    config.num_uses = 65;
+    config.num_threads = 1;
+    const auto serial = lk::run_link_simulation(config);
+    for (const std::size_t block : {64UL, 7UL}) {
+        for (const std::size_t threads : {2UL, 8UL}) {
+            SCOPED_TRACE(std::to_string(threads) + " threads, stream_block " +
+                         std::to_string(block));
+            config.num_threads = threads;
+            config.stream_block = block;
+            expect_same_statistics(lk::run_link_simulation(config), serial, config.num_uses);
+        }
+    }
+}
+
+TEST(LinkSchedule, UncodedArqWithFewerFramesThanWorkersMatchesOneThread) {
+    auto config = small_config();
+    config.num_uses = 5;
+    config.snr_db = 4.0;  // enough wrong uses that the chain retransmits
+    config.paths = pt::parse_spec_list("zf,kbest,sa:reads=2,sweeps=10");
+    config.arq = hcq::arq::parse_arq("deadline_us=auto,max_retx=2");
+    config.num_threads = 1;
+    const auto serial = lk::run_link_simulation(config);
+    std::uint64_t retransmissions = 0;
+    for (const auto& path : serial.paths) retransmissions += path.arq->counters.retransmissions();
+    EXPECT_GT(retransmissions, 0u);
+    config.num_threads = 8;
+    expect_same_statistics(lk::run_link_simulation(config), serial, config.num_uses);
+}
+
+TEST(LinkSchedule, CodedChaseHarqWithFewerFramesThanWorkersMatchesOneThread) {
+    auto config = coded_gate_config();
+    config.num_uses = 12;  // 3 frames of 4 uses
+    config.paths = pt::parse_spec_list("zf,kbest,gsra:reads=4");
+    config.arq = hcq::arq::parse_arq("max_retx=2,combining=chase");
+    config.num_threads = 1;
+    const auto serial = lk::run_link_simulation(config);
+    ASSERT_EQ(serial.paths[0].fec->frames, 3u);
+    for (const std::size_t threads : {2UL, 8UL}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        config.num_threads = threads;
+        expect_same_statistics(lk::run_link_simulation(config), serial, config.num_uses);
+    }
+}
+
+/// A user-defined path that reports one stage timing more than it declares.
+class extra_timing_path final : public pt::detection_path {
+public:
+    void run_block(std::span<const pt::path_context> ctxs,
+                   std::span<pt::path_result> out) const override {
+        pt::check_block(ctxs, out);
+        for (std::size_t i = 0; i < ctxs.size(); ++i) {
+            out[i].bits.assign(ctxs[i].instance.num_bits(), 0);
+            out[i].ml_cost = ctxs[i].instance.ml_cost_bits(out[i].bits);
+            out[i].stages = {{"detect", 0.0}, {"undeclared", 0.0}};
+        }
+    }
+    [[nodiscard]] std::string name() const override { return "ExtraTiming"; }
+    [[nodiscard]] pt::path_spec spec() const override { return {"extra-timing", {}}; }
+    [[nodiscard]] std::vector<std::string> stage_names() const override { return {"detect"}; }
+};
+
+TEST(LinkSchedule, MiscountedStageTimingsThrowFromThePoolAndTheNextCallSucceeds) {
+    // The stage-count check runs inside the per-path fold, which runs on a
+    // pool worker when the link has one; the error must still reach the
+    // caller as std::logic_error and leave nothing behind.
+    if (!pt::registry::is_registered("extra-timing")) {
+        pt::registry::register_path(
+            {.kind = "extra-timing",
+             .summary = "reports an undeclared stage timing (test-only)",
+             .keys = {},
+             .factory = [](const pt::path_spec&) -> std::shared_ptr<const pt::detection_path> {
+                 return std::make_shared<const extra_timing_path>();
+             }});
+    }
+    auto config = small_config();
+    config.num_uses = 40;
+    config.stream_block = 16;
+    for (const std::size_t threads : {1UL, 2UL}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        config.num_threads = threads;
+        config.paths = pt::parse_spec_list("zf,extra-timing");
+        EXPECT_THROW((void)lk::run_link_simulation(config), std::logic_error);
+        config.paths = pt::parse_spec_list("zf,kbest");
+        const auto report = lk::run_link_simulation(config);
+        EXPECT_EQ(report.path("zf").ber.total_bits(), config.num_uses * 4u);
+    }
 }
 
 }  // namespace
